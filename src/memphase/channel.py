@@ -140,9 +140,8 @@ def decay_factor(label: CoherenceLabel, cov: PhaseCovariance) -> float:
     s = label.s.astype(float)
     d_power = cov.g**exponent
     d_exp = np.exp(-2.0 * float(s @ cov.sigma @ s))
-    assert abs(d_power - d_exp) <= 1e-12, (
-        f"decay-factor forms disagree: {d_power!r} vs {d_exp!r}"
-    )
+    if not abs(d_power - d_exp) <= 1e-12:
+        raise ArithmeticError(f"decay-factor forms disagree: {d_power!r} vs {d_exp!r}")
     return d_power
 
 

@@ -11,18 +11,16 @@ Subcommands:
 Configuration is a plain ``key = value`` text file ('#' starts a comment);
 ``--seed`` and ``--out`` override it.  Outputs are CSV with '#'-prefixed
 metadata lines (version, config hash, seed) and are byte-identical for a
-fixed config and seed.  Sweep evaluation honours the MEMPHASE_WORKERS
-environment variable; rows are always written in grid order.
+fixed config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import os
+import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -110,12 +108,15 @@ class RunConfig:
 
     def make_spectrum(self) -> PowerSpectrum:
         kind = self.spectrum.lower()
-        if kind == "white":
-            return White(self.level)
-        if kind == "lorentzian":
-            return Lorentzian(self.sigma2, self.gamma)
-        if kind in ("one_over_f", "1/f", "oneoverf"):
-            return OneOverF(self.amplitude, self.omega_min, self.omega_max)
+        try:
+            if kind == "white":
+                return White(self.level)
+            if kind == "lorentzian":
+                return Lorentzian(self.sigma2, self.gamma)
+            if kind in ("one_over_f", "1/f", "oneoverf"):
+                return OneOverF(self.amplitude, self.omega_min, self.omega_max)
+        except DomainError as exc:
+            raise ConfigError(f"spectrum parameters: {exc}") from exc
         raise ConfigError(
             f"field 'spectrum': unknown kind {self.spectrum!r} "
             "(expected white | lorentzian | one_over_f)"
@@ -168,24 +169,6 @@ RunConfig._FIELD_TYPES = {
     "labels": str,
     "out": str,
 }
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("MEMPHASE_WORKERS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"MEMPHASE_WORKERS: cannot parse {raw!r}") from exc
-    return max(1, count)
-
-
-def _grid_map(func, items):
-    """Evaluate sweep points, in parallel if configured, in grid order."""
-    workers = _worker_count()
-    if workers == 1:
-        return [func(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
 
 
 def _metadata(config: RunConfig, command: str) -> list[str]:
@@ -259,8 +242,11 @@ def cmd_fig2(config: RunConfig) -> str:
             f"field 'mu1_step': must be in (0, 1], got {config.mu1_step}"
         )
     g = g_from_epsilon(eps)
-    n_points = round(1.0 / config.mu1_step) + 1
-    mu1_grid = [i * config.mu1_step for i in range(n_points)]
+    # 0, step, 2 step, ... always ending at mu1 = 1
+    steps = 1.0 / config.mu1_step
+    whole = abs(steps - round(steps)) <= 1e-9 * steps
+    n_points = (round(steps) if whole else math.floor(steps)) + 1
+    mu1_grid = [i * config.mu1_step for i in range(n_points)] + ([] if whole else [1.0])
 
     def row(mu1: float) -> str:
         mu1 = min(mu1, 1.0)
@@ -283,7 +269,7 @@ def cmd_fig2(config: RunConfig) -> str:
         "mu1,mu2_lower,Pe_tqc_at_mu2_lower,Pe_tqc_at_mu2_eq_mu1,"
         "Pe_two_qubit,Pe_single,Pe_tqc_memoryless,feasible_lower,feasible_upper"
     )
-    lines.extend(_grid_map(row, mu1_grid))
+    lines.extend(row(mu1) for mu1 in mu1_grid)
     return "\n".join(lines) + "\n"
 
 
@@ -312,7 +298,7 @@ def cmd_fig3(config: RunConfig) -> str:
         "epsilon,Pe_tqc_memoryless,Pe_tqc_worst,Pe_two_qubit_mu099,"
         "feasible_memoryless,feasible_worst"
     )
-    lines.extend(_grid_map(row, [float(e) for e in grid]))
+    lines.extend(row(float(eps)) for eps in grid)
     return "\n".join(lines) + "\n"
 
 
@@ -381,6 +367,8 @@ def _suite_mc_fidelity(config: RunConfig) -> tuple[bool, str]:
 
 def cmd_validate(config: RunConfig) -> tuple[str, int]:
     """Run all oracle suites; returns (report, exit status)."""
+    if config.mc_samples < 1:
+        raise ConfigError(f"field 'mc_samples': need >= 1, got {config.mc_samples}")
     lines = _metadata(config, "validate")
     if config.mu1 is not None and config.mu2 is not None:
         verdict = check_mu_feasible(config.mu1, config.mu2)

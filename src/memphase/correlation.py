@@ -25,7 +25,7 @@ from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
 from .errors import DomainError, NotPositiveSemidefinite, WhiteNoiseUndefined
-from .spectrum import PowerSpectrum, White, _autocorrelation_fast, kernel_integral
+from .spectrum import PowerSpectrum, White, autocorrelation, kernel_integral
 
 __all__ = [
     "ChannelParams",
@@ -128,21 +128,16 @@ class PhaseCovariance:
         return self.eta_sq * toeplitz(self.mu)
 
 
-def covariance_from_spectrum(
-    spec: PowerSpectrum,
-    params: ChannelParams,
-    *,
-    rtol: float = 1e-10,
-) -> PhaseCovariance:
+def covariance_from_spectrum(spec: PowerSpectrum, params: ChannelParams) -> PhaseCovariance:
     """Phase covariance by the spectral kernel route.
 
     eta^2 = lambda^2 * I(0) and mu_m = I(m*tau)/I(0) with I the windowed
     kernel integral of the drive spectrum.
     """
-    i0 = kernel_integral(spec, params.tau_p, 0.0, rtol=rtol)
+    i0 = kernel_integral(spec, params.tau_p, 0.0)
     mu = np.ones(params.n_uses)
     for m in range(1, params.n_uses):
-        mu[m] = kernel_integral(spec, params.tau_p, m * params.tau, rtol=rtol) / i0
+        mu[m] = kernel_integral(spec, params.tau_p, m * params.tau) / i0
     return PhaseCovariance(eta_sq=params.coupling**2 * i0, mu=mu)
 
 
@@ -158,7 +153,7 @@ def _window_overlap_integral(
     def inner(t2: float) -> float:
         pts = [t2] if t_lo < t2 < t_hi else None
         val, _ = quad(
-            lambda t1: _autocorrelation_fast(spec, t1 - t2),
+            lambda t1: autocorrelation(spec, t1 - t2),
             t_lo,
             t_hi,
             points=pts,

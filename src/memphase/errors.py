@@ -14,7 +14,11 @@ class WhiteNoiseUndefined(ValueError):
 
 
 class QuadratureNonConvergence(ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Adaptive quadrature failed to reach the requested tolerance.
+
+    The package no longer raises it: the spectral kernels are closed forms.
+    It stays importable for code that catches it.
+    """
 
 
 class NotPositiveSemidefinite(ValueError):

@@ -22,6 +22,7 @@ across workers.  All estimators reduce by plain sums.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -212,14 +213,8 @@ def mc_decay_factor(
 # the 27 distinct weight vectors s in {-1,0,1}^3.  Averaging F over
 # realizations equals the fidelity of the averaged state (linearity).
 
-_tqc_weight_cache: tuple[np.ndarray, np.ndarray] | None = None
-
-
+@functools.cache
 def _tqc_weights() -> tuple[np.ndarray, np.ndarray]:
-    global _tqc_weight_cache
-    if _tqc_weight_cache is not None:
-        return _tqc_weight_cache
-
     rho_enc = tqc_encode(prepare_bell_with_ancillas()).rho.matrix
     u_dec = np.eye(16, dtype=complex)
     for gate in DECODE_GATES:
@@ -241,9 +236,12 @@ def _tqc_weights() -> tuple[np.ndarray, np.ndarray]:
             coeffs[s] = coeffs.get(s, 0.0) + w
     s_mat = np.array(sorted(coeffs), dtype=float)
     c_vec = np.array([coeffs[tuple(int(x) for x in s)] for s in s_mat])
-    assert abs(c_vec.sum() - 1.0) < 1e-12  # noiseless pipeline fidelity is 1
-    _tqc_weight_cache = (s_mat, c_vec)
-    return _tqc_weight_cache
+    if not abs(c_vec.sum() - 1.0) < 1e-12:
+        raise ArithmeticError(f"noiseless pipeline fidelity is {c_vec.sum()!r}, not 1")
+    # every caller shares the cached arrays
+    s_mat.flags.writeable = False
+    c_vec.flags.writeable = False
+    return s_mat, c_vec
 
 
 def mc_tqc_fidelity(

@@ -1,4 +1,5 @@
-"""Stationary Gaussian drive models: power spectral density and autocorrelation.
+"""Stationary Gaussian drive models: spectral density, autocorrelation and
+the windowed phase kernel, all in closed form.
 
 Three one-sided spectra are supported:
 
@@ -14,27 +15,35 @@ The central quantity is the windowed kernel integral
     I(d) = (1/2pi) * int_0^inf S(w) * (1 - cos(w*tau_p)) / w^2 * cos(w*d) dw,
 
 which fixes the phase variance (d = 0) and the inter-use phase covariances
-(d = m*tau).  It is evaluated by splitting the trigonometric product into
-three single-frequency pieces,
+(d = m*tau).  Splitting the trigonometric product gives three
+single-frequency pieces,
 
     I(d) = J(tau_p + d)/2 + J(|tau_p - d|)/2 - J(d),
-    J(a) = (1/2pi) * int_0^inf S(w) * (1 - cos(w*a)) / w^2 dw,
+    J(a) = (1/2pi) * int_0^inf S(w) * (1 - cos(w*a)) / w^2 dw
+         = (1/4) * int_0^a int_0^a C(t1 - t2) dt1 dt2,
 
-so that each piece carries a single oscillation frequency and can be handed
-to an oscillatory-weight quadrature rule, with series treatment of the
-w -> 0 removable singularity and analytic high-frequency tails.
+and every built-in spectrum has them in closed form:
+
+* white:      J(a) = S0*a/4, so I(d) = (S0/4) * max(tau_p - d, 0), exactly
+  zero beyond the window;
+* Lorentzian: J(a) = sigma2/(2 gamma^2) * (gamma*a - 1 + exp(-gamma*a)), by
+  series for small gamma*a; for d >= tau_p the pieces combine to
+  sigma2/gamma^2 * exp(-gamma*d) * sinh^2(gamma*tau_p/2), used directly;
+* 1/f:        J(a) = (A/2pi) * [F(w)] between the cutoffs, with
+  F(w) = -(1 - cos aw)/(2w^2) - a*sin(aw)/(2w) + (a^2/2)*Ci(aw).
+
+Each spectrum class carries its own formulas; the module-level functions
+delegate to them.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import sici
 
-from .errors import DomainError, QuadratureNonConvergence, WhiteNoiseUndefined
+from .errors import DomainError, WhiteNoiseUndefined
 
 __all__ = [
     "White",
@@ -51,6 +60,14 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
+class _ThreePieceKernel:
+    """Spectra whose kernel is assembled from ``piece(a)`` = J(a), a >= 0."""
+
+    def kernel(self, tau_p: float, d: float) -> float:
+        """I(d) for d >= 0 from the single-frequency pieces J."""
+        return 0.5 * self.piece(tau_p + d) + 0.5 * self.piece(abs(tau_p - d)) - self.piece(d)
+
+
 @dataclass(frozen=True)
 class White:
     """Flat spectrum S(w) = level (units of signal^2 * time)."""
@@ -61,9 +78,29 @@ class White:
         if not self.level > 0.0:
             raise DomainError(f"white-noise level must be positive, got {self.level}")
 
+    def density(self, omega: float) -> float:
+        return self.level
+
+    def autocorrelation(self, tau: float) -> float:
+        raise WhiteNoiseUndefined(
+            "pointwise C(tau) of white noise is a delta distribution with no "
+            "finite variance; use kernel_integral"
+        )
+
+    def kernel(self, tau_p: float, d: float) -> float:
+        # the pieces J(a) = level*a/4 combine to a triangle of half-width tau_p
+        return 0.25 * self.level * max(tau_p - d, 0.0)
+
+
+def _exp_remainder(x: float) -> float:
+    """exp(-x) - 1 + x for x >= 0, without cancellation at small x."""
+    if x > 0.1:
+        return math.expm1(-x) + x
+    return sum((-x) ** k / math.factorial(k) for k in range(2, 18))
+
 
 @dataclass(frozen=True)
-class Lorentzian:
+class Lorentzian(_ThreePieceKernel):
     """Exponentially correlated drive: S(w) = 2*variance*rate/(rate^2 + w^2)."""
 
     variance: float
@@ -75,9 +112,27 @@ class Lorentzian:
         if not self.rate > 0.0:
             raise DomainError(f"rate must be positive, got {self.rate}")
 
+    def density(self, omega: float) -> float:
+        return 2.0 * self.variance * self.rate / (self.rate**2 + omega**2)
+
+    def autocorrelation(self, tau: float) -> float:
+        return self.variance * math.exp(-self.rate * abs(tau))
+
+    def piece(self, a: float) -> float:
+        return self.variance / (2.0 * self.rate**2) * _exp_remainder(self.rate * a)
+
+    def kernel(self, tau_p: float, d: float) -> float:
+        if d < tau_p:
+            return super().kernel(tau_p, d)
+        # exp(-g d) sinh^2(g tp/2) = exp(-g (d - tp)) expm1(-g tp)^2 / 4, which
+        # neither cancels nor overflows
+        g = self.rate
+        edge = math.expm1(-g * tau_p)
+        return self.variance / (4.0 * g * g) * math.exp(-g * (d - tau_p)) * edge * edge
+
 
 @dataclass(frozen=True)
-class OneOverF:
+class OneOverF(_ThreePieceKernel):
     """Banded 1/f spectrum: S(w) = amplitude/w on [omega_min, omega_max]."""
 
     amplitude: float
@@ -93,231 +148,63 @@ class OneOverF:
                 f"[{self.omega_min}, {self.omega_max}]"
             )
 
+    def density(self, omega: float) -> float:
+        if self.omega_min <= omega <= self.omega_max:
+            return self.amplitude / omega
+        return 0.0
+
+    def autocorrelation(self, tau: float) -> float:
+        # int cos(w t)/w dw = Ci(w_max t) - Ci(w_min t)
+        t = abs(tau)
+        if t == 0.0:
+            return self.amplitude / math.pi * math.log(self.omega_max / self.omega_min)
+        ci_hi = sici(self.omega_max * t)[1]
+        ci_lo = sici(self.omega_min * t)[1]
+        return self.amplitude / math.pi * (ci_hi - ci_lo)
+
+    def piece(self, a: float) -> float:
+        if a == 0.0:
+            return 0.0
+
+        def antiderivative(w: float) -> float:
+            # F' = (1 - cos aw)/w^3, with 1 - cos x written as 2 sin^2(x/2)
+            x = a * w
+            half = math.sin(0.5 * x)
+            return (
+                -half * half / (w * w) - a * math.sin(x) / (2.0 * w) + 0.5 * a * a * sici(x)[1]
+            )
+
+        return self.amplitude / _TWO_PI * (
+            antiderivative(self.omega_max) - antiderivative(self.omega_min)
+        )
+
 
 PowerSpectrum = White | Lorentzian | OneOverF
 
 
 def spectral_density(spec: PowerSpectrum, omega: float) -> float:
     """One-sided power spectral density S(omega) for omega >= 0."""
-    if isinstance(spec, White):
-        return spec.level
-    if isinstance(spec, Lorentzian):
-        return 2.0 * spec.variance * spec.rate / (spec.rate**2 + omega**2)
-    if isinstance(spec, OneOverF):
-        if spec.omega_min <= omega <= spec.omega_max:
-            return spec.amplitude / omega
-        return 0.0
-    raise TypeError(f"unknown spectrum type {type(spec).__name__}")
+    return spec.density(omega)
 
 
 def process_variance(spec: PowerSpectrum) -> float:
-    """C(0) = int_0^inf S(w) dw / pi.  Finite for Lorentzian and OneOverF."""
-    if isinstance(spec, Lorentzian):
-        return spec.variance
-    if isinstance(spec, OneOverF):
-        return spec.amplitude / math.pi * math.log(spec.omega_max / spec.omega_min)
-    if isinstance(spec, White):
-        raise WhiteNoiseUndefined("white noise has no finite variance")
-    raise TypeError(f"unknown spectrum type {type(spec).__name__}")
-
-
-def _quiet_quad(*args, **kwargs):
-    # tolerance gating happens on the returned error estimate, not on the
-    # QUADPACK warning, which fires even when the result is ample for us
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(*args, **kwargs)
+    """C(0) = int_0^inf S(w) dw / pi.  Finite for Lorentzian and OneOverF;
+    white noise raises ``WhiteNoiseUndefined``."""
+    return spec.autocorrelation(0.0)
 
 
 def autocorrelation(spec: PowerSpectrum, tau: float) -> float:
     """Pointwise autocorrelation C(tau) of the drive.
 
-    Lorentzian has the closed form variance * exp(-rate*|tau|); OneOverF is
-    the cosine transform of its banded density, evaluated by quadrature.
+    Lorentzian: variance * exp(-rate*|tau|); OneOverF: the cosine transform
+    of its banded density, (A/pi) * (Ci(omega_max*tau) - Ci(omega_min*tau)).
     White noise raises ``WhiteNoiseUndefined`` (use kernel integrals instead).
     """
-    if isinstance(spec, White):
-        raise WhiteNoiseUndefined(
-            "pointwise C(tau) of white noise is a delta distribution; "
-            "use kernel_integral"
-        )
-    if isinstance(spec, Lorentzian):
-        return spec.variance * math.exp(-spec.rate * abs(tau))
-    if isinstance(spec, OneOverF):
-        t = abs(tau)
-        if t == 0.0:
-            return process_variance(spec)
-        val, _ = _quiet_quad(
-            lambda w: spec.amplitude / (math.pi * w),
-            spec.omega_min,
-            spec.omega_max,
-            weight="cos",
-            wvar=t,
-            epsabs=1e-13,
-            epsrel=1e-12,
-            limit=400,
-        )
-        return val
-    raise TypeError(f"unknown spectrum type {type(spec).__name__}")
+    return spec.autocorrelation(tau)
 
 
-def _autocorrelation_fast(spec: PowerSpectrum, tau: float) -> float:
-    """C(tau) via closed forms where available (internal, for 2-D quadrature)."""
-    if isinstance(spec, OneOverF):
-        t = abs(tau)
-        if t == 0.0:
-            return process_variance(spec)
-        # int cos(w t)/w dw = Ci(w_max t) - Ci(w_min t)
-        ci_hi = sici(spec.omega_max * t)[1]
-        ci_lo = sici(spec.omega_min * t)[1]
-        return spec.amplitude / math.pi * (ci_hi - ci_lo)
-    return autocorrelation(spec, tau)
-
-
-# --- single-frequency kernel pieces -----------------------------------------
-#
-# J(a) = (1/2pi) int S(w) (1 - cos(w a)) / w^2 dw over the spectrum's support.
-# Decomposition per piece:
-#   [lo, w0]   combined integrand, non-oscillatory (w0 well below one period);
-#   [w0, wc]   exact antiderivative of S/w^2 minus cos-weighted quadrature;
-#   [wc, inf)  analytic tail (White: sine-integral closed form; Lorentzian:
-#              exact monotone part, oscillatory remainder bounded and dropped;
-#              OneOverF: none, support ends at omega_max).
-
-_SERIES_X = 1e-3  # switch to the series of (1-cos x)/x^2 below this x
-
-
-def _one_minus_cos_over_sq(x: float) -> float:
-    # (1 - cos x)/x^2, stable near x = 0
-    if abs(x) < _SERIES_X:
-        x2 = x * x
-        return 0.5 - x2 / 24.0 + x2 * x2 / 720.0
-    s = math.sin(0.5 * x)
-    return 2.0 * s * s / (x * x)
-
-
-def _combined_integrand(spec: PowerSpectrum, a: float):
-    def f(w: float) -> float:
-        if w == 0.0:
-            return spectral_density(spec, 0.0) * a * a * 0.5
-        return spectral_density(spec, w) * a * a * _one_minus_cos_over_sq(w * a)
-
-    return f
-
-
-def _density_over_w2_antideriv(spec: PowerSpectrum, w: float) -> float:
-    """Antiderivative of S(w)/w^2 evaluated at w (valid inside the support)."""
-    if isinstance(spec, White):
-        return -spec.level / w
-    if isinstance(spec, Lorentzian):
-        g = spec.rate
-        return 2.0 * spec.variance / g * (-1.0 / w - math.atan(w / g) / g)
-    if isinstance(spec, OneOverF):
-        return -0.5 * spec.amplitude / (w * w)
-    raise TypeError(f"unknown spectrum type {type(spec).__name__}")
-
-
-def _piece_scale(spec: PowerSpectrum, a: float) -> float:
-    """Cheap upper bound on J(a), used only to set absolute tolerances."""
-    if isinstance(spec, White):
-        return spec.level * a / 4.0
-    if isinstance(spec, Lorentzian):
-        return spec.variance * min(a * a / 4.0, a / (2.0 * spec.rate))
-    if isinstance(spec, OneOverF):
-        flat = process_variance(spec) * a * a / 4.0
-        saturated = spec.amplitude * (spec.omega_min**-2 - spec.omega_max**-2) / _TWO_PI
-        return min(flat, saturated)
-    raise TypeError(f"unknown spectrum type {type(spec).__name__}")
-
-
-def _tail(spec: PowerSpectrum, a: float, wc: float) -> tuple[float, float]:
-    """(value, error bound) of int_wc^inf S(w)(1-cos(w a))/w^2 dw."""
-    if isinstance(spec, White):
-        si_val = sici(a * wc)[0]
-        val = spec.level * (
-            (1.0 - math.cos(a * wc)) / wc + a * (0.5 * math.pi - si_val)
-        )
-        return val, 1e-15 * abs(val)
-    if isinstance(spec, Lorentzian):
-        g = spec.rate
-        # monotone part is exact; the oscillatory remainder is bounded by
-        # integration by parts: |int_wc S/w^2 cos(w a)| <= 2 S(wc)/(a wc^2)
-        mono = 2.0 * spec.variance / g * (
-            1.0 / wc - (0.5 * math.pi - math.atan(wc / g)) / g
-        )
-        osc_bound = 2.0 * spectral_density(spec, wc) / (a * wc * wc)
-        return mono, osc_bound
-    if isinstance(spec, OneOverF):
-        return 0.0, 0.0
-    raise TypeError(f"unknown spectrum type {type(spec).__name__}")
-
-
-def _cutoff(spec: PowerSpectrum, a: float, cutoff_scale: float) -> float:
-    if isinstance(spec, White):
-        # the tail is analytic, so the cutoff only bounds the oscillatory span
-        return 200.0 / a * cutoff_scale
-    if isinstance(spec, Lorentzian):
-        # choose wc so the dropped oscillatory tail ~ 4 s2 g/(a wc^4) is
-        # negligible against the piece scale
-        g, s2 = spec.rate, spec.variance
-        target = 1e-14 * _piece_scale(spec, a)
-        wc = (4.0 * s2 * g / (a * target)) ** 0.25
-        return max(wc, 20.0 * g, 10.0 / a) * cutoff_scale
-    if isinstance(spec, OneOverF):
-        return spec.omega_max
-    raise TypeError(f"unknown spectrum type {type(spec).__name__}")
-
-
-def _kernel_piece(spec: PowerSpectrum, a: float, cutoff_scale: float) -> tuple[float, float]:
-    """J(a) with an accumulated absolute-error bound."""
-    a = abs(a)
-    if a == 0.0:
-        return 0.0, 0.0
-    lo = spec.omega_min if isinstance(spec, OneOverF) else 0.0
-    wc = _cutoff(spec, a, cutoff_scale)
-    w0 = min(0.5 / a, wc)
-    epsabs = 1e-13 * _piece_scale(spec, a)
-
-    total = 0.0
-    err = 0.0
-
-    if w0 > lo:
-        val, e = _quiet_quad(
-            _combined_integrand(spec, a), lo, w0,
-            epsabs=epsabs, epsrel=1e-12, limit=200,
-        )
-        total += val
-        err += e
-    w0 = max(w0, lo)
-
-    if wc > w0:
-        # monotone part exactly, oscillatory part by cos-weighted quadrature
-        total += _density_over_w2_antideriv(spec, wc) - _density_over_w2_antideriv(spec, w0)
-        val, e = _quiet_quad(
-            lambda w: spectral_density(spec, w) / (w * w),
-            w0, wc,
-            weight="cos", wvar=a,
-            epsabs=epsabs, epsrel=1e-12, limit=500,
-        )
-        total -= val
-        err += e
-
-    tail_val, tail_err = _tail(spec, a, wc)
-    total += tail_val
-    err += tail_err
-
-    return total / _TWO_PI, err / _TWO_PI
-
-
-def kernel_integral(
-    spec: PowerSpectrum,
-    tau_p: float,
-    delta: float,
-    *,
-    rtol: float = 1e-10,
-    cutoff_scale: float = 1.0,
-) -> float:
-    """Windowed phase-covariance kernel I(delta).
+def kernel_integral(spec: PowerSpectrum, tau_p: float, delta: float) -> float:
+    """Windowed phase-covariance kernel I(delta), in closed form.
 
     I(delta) = (1/2pi) int_0^inf S(w) (1-cos(w tau_p))/w^2 cos(w delta) dw.
 
@@ -329,40 +216,15 @@ def kernel_integral(
         Transit-time window length, > 0.
     delta : float
         Lag between window starts (m * tau); the kernel is even in delta.
-    rtol : float
-        Accepted error relative to I(0).  ``QuadratureNonConvergence`` is
-        raised if the accumulated quadrature error estimate exceeds it.
-    cutoff_scale : float
-        Multiplier on the high-frequency truncation point; used to validate
-        that the truncation is converged (doubling it must not move results).
     """
     if not tau_p > 0.0:
         raise DomainError(f"tau_p must be positive, got {tau_p}")
-    d = abs(delta)
-
-    i0, err0 = _kernel_piece(spec, tau_p, cutoff_scale)
-    if d == 0.0:
-        value, err = i0, err0
-    else:
-        j_plus, e1 = _kernel_piece(spec, tau_p + d, cutoff_scale)
-        j_minus, e2 = _kernel_piece(spec, abs(tau_p - d), cutoff_scale)
-        j_d, e3 = _kernel_piece(spec, d, cutoff_scale)
-        value = 0.5 * j_plus + 0.5 * j_minus - j_d
-        err = 0.5 * e1 + 0.5 * e2 + e3
-
-    tol = rtol * abs(i0)
-    if err > tol:
-        raise QuadratureNonConvergence(
-            f"kernel quadrature error {err:.3e} exceeds tolerance {tol:.3e} "
-            f"(rtol={rtol:g} relative to I(0)={i0:.6e})"
-        )
-    return value
+    return spec.kernel(tau_p, abs(delta))
 
 
 def white_kernel_closed_form(level: float, tau_p: float, delta: float) -> float:
     """Exact white-noise kernel: (S0/8) * (|tp+d| + |tp-d| - 2|d|).
 
-    Cross-check for the quadrature route; zero for |delta| >= tau_p.
+    Equals (S0/4) * max(tau_p - |delta|, 0); zero for |delta| >= tau_p.
     """
-    d = abs(delta)
-    return level / 8.0 * (abs(tau_p + d) + abs(tau_p - d) - 2.0 * d)
+    return kernel_integral(White(level), tau_p, delta)

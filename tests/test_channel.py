@@ -1,5 +1,10 @@
 """Coherence labels, decay factors, and the dephasing map itself."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,7 @@ from memphase.channel import (
     decay_exponent,
     decay_factor,
 )
+import memphase
 from memphase.correlation import PhaseCovariance
 from memphase.errors import DimensionMismatch, PositionOutOfRange
 
@@ -94,7 +100,7 @@ class TestDecayFactor:
             cov = random_feasible_covariance(rng, n)
             j, l = rng.integers(0, 1 << n, size=2)
             label = CoherenceLabel(int(j), int(l), n)
-            d = decay_factor(label, cov)  # internal 1e-12 cross-assert
+            d = decay_factor(label, cov)  # internal 1e-12 cross-check
             s = label.s.astype(float)
             assert d == pytest.approx(np.exp(-2 * s @ cov.sigma @ s), abs=1e-12)
 
@@ -102,6 +108,34 @@ class TestDecayFactor:
         cov = PhaseCovariance.from_damping(0.9, [1.0, 0.5])
         with pytest.raises(DimensionMismatch):
             decay_factor(CoherenceLabel(0, 7, 3), cov)
+
+    def test_forms_cross_check_survives_optimized_mode(self):
+        # a covariance whose g disagrees with sigma must be caught under -O too
+        script = textwrap.dedent(
+            """
+            import sys
+            from memphase.channel import CoherenceLabel, decay_factor
+            from memphase.correlation import PhaseCovariance
+
+            class Skewed(PhaseCovariance):
+                @property
+                def g(self):
+                    return 0.5
+
+            assert False, "asserts must be stripped in this run"
+            try:
+                decay_factor(CoherenceLabel(0, 3, 2), Skewed(eta_sq=0.1, mu=[1.0, 0.3]))
+            except ArithmeticError as exc:
+                print(f"optimize={sys.flags.optimize} raised: {exc}")
+            """
+        )
+        package_root = os.path.dirname(os.path.dirname(memphase.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout.startswith("optimize=1 raised: decay-factor forms disagree")
 
 
 class TestApplyChannel:

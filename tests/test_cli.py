@@ -91,6 +91,29 @@ class TestDecayCommand:
         with pytest.raises(ConfigError, match="labels"):
             cmd_decay(RunConfig(n_uses=3, labels="00:11"))
 
+    def test_white_beyond_window_is_exactly_uncorrelated(self):
+        text = cmd_decay(RunConfig(spectrum="white", tau=1.5))
+        assert "# mu_feasible=yes" in text.splitlines()
+        rows = data_rows(text)
+        assert rows[1:4] == [
+            "0,1.000000000000e+00",
+            "1,0.000000000000e+00",
+            "2,0.000000000000e+00",
+        ]
+
+    @pytest.mark.parametrize(
+        "config_text",
+        [
+            "tau_p = 0.2\ntau = 1\nn_uses = 6\n",
+            "spectrum = one_over_f\nomega_min = 0.01\nomega_max = 50\nn_uses = 24\n",
+        ],
+        ids=["lorentzian-short-window", "one_over_f-wide-band"],
+    )
+    def test_long_lag_configs_run(self, tmp_path, capsys, config_text):
+        code = main(["decay", "--config", write_config(tmp_path, config_text)])
+        assert code == 0
+        assert "m,mu_m" in capsys.readouterr().out
+
 
 class TestFig2Command:
     def test_columns_and_degenerate_row(self):
@@ -118,6 +141,10 @@ class TestFig2Command:
         assert float(last[0]) == 1.0
         assert float(last[3]) == pytest.approx(9e-6, rel=0.05)
         assert float(last[4]) == 0.0  # two-qubit code decoherence-free
+
+    def test_grid_ends_at_one_when_step_does_not_divide(self):
+        mu1 = [row.split(",")[0] for row in data_rows(cmd_fig2(RunConfig(mu1_step=0.3)))[1:]]
+        assert mu1 == ["0.000000", "0.300000", "0.600000", "0.900000", "1.000000"]
 
     def test_all_rows_annotated_feasible(self):
         text = cmd_fig2(RunConfig(mu1_step=0.1))
@@ -162,12 +189,6 @@ class TestDeterminism:
         assert cmd_fig3(config) == cmd_fig3(config)
         assert cmd_decay(config) == cmd_decay(config)
 
-    def test_worker_count_does_not_change_output(self, monkeypatch):
-        config = RunConfig(mu1_step=0.05)
-        base = cmd_fig2(config)
-        monkeypatch.setenv("MEMPHASE_WORKERS", "4")
-        assert cmd_fig2(config) == base
-
     def test_validate_report_reproducible(self):
         config = RunConfig(mc_samples=20_000)
         report_a, status_a = cmd_validate(config)
@@ -208,3 +229,22 @@ class TestMainEntry:
         code = main(["decay", "--config", path])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config_text",
+        [
+            "gamma = nan\n",
+            "spectrum = white\nlevel = 0\n",
+            "spectrum = one_over_f\nomega_min = 20\nomega_max = 10\n",
+        ],
+        ids=["gamma-nan", "white-level-zero", "inverted-band"],
+    )
+    def test_bad_spectrum_parameters_exit_code(self, tmp_path, capsys, config_text):
+        code = main(["decay", "--config", write_config(tmp_path, config_text)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: spectrum parameters:")
+
+    def test_nonpositive_mc_samples_exit_code(self, tmp_path, capsys):
+        code = main(["validate", "--config", write_config(tmp_path, "mc_samples = 0\n")])
+        assert code == 2
+        assert "config error: field 'mc_samples'" in capsys.readouterr().err

@@ -113,7 +113,7 @@ class TestSpectralRoute:
 
     def test_spectrum_pairs_are_feasible(self):
         # the exact pairs satisfy the constraints; allow the bounds to be
-        # missed by no more than the kernel quadrature noise
+        # missed by no more than the kernel rounding noise
         noise = 1e-9
         specs = [White(0.5), Lorentzian(1.0, 0.5), OneOverF(1.0, 0.1, 10.0)]
         for spec in specs:
@@ -155,6 +155,24 @@ class TestTimeDomainRoute:
         c_time = covariance_from_autocorrelation(spec, params)
         assert c_time.eta_sq == pytest.approx(c_spec.eta_sq, rel=1e-7)
         np.testing.assert_allclose(c_time.mu, c_spec.mu, atol=1e-7)
+
+    @pytest.mark.parametrize(
+        "spec,tau_p,tau,n_uses",
+        [
+            (Lorentzian(1.0, 1.0), 0.2, 1.0, 6),
+            (Lorentzian(1.0, 1.0), 0.2, 3.0, 16),
+            (OneOverF(1.0, 0.01, 50.0), 1.0, 1.0, 24),
+            (OneOverF(1.0, 0.01, 50.0), 0.2, 3.0, 8),
+        ],
+        ids=["lorentzian-6", "lorentzian-16", "one_over_f-24", "one_over_f-8"],
+    )
+    def test_long_lags_short_windows_match(self, spec, tau_p, tau, n_uses):
+        # lags far beyond the window, where the kernel is small against its pieces
+        params = ChannelParams(1.0, tau_p, tau, n_uses)
+        c_spec = covariance_from_spectrum(spec, params)
+        c_time = covariance_from_autocorrelation(spec, params)
+        assert c_time.eta_sq == pytest.approx(c_spec.eta_sq, rel=1e-7)
+        np.testing.assert_allclose(c_time.mu, c_spec.mu, rtol=0.0, atol=1e-7)
 
     def test_stationarity_under_window_shift(self):
         spec = Lorentzian(1.0, 1.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from memphase.errors import DomainError, QuadratureNonConvergence, WhiteNoiseUndefined
+from memphase.errors import DomainError, WhiteNoiseUndefined
 from memphase.spectrum import (
     Lorentzian,
     OneOverF,
@@ -77,7 +77,7 @@ class TestAutocorrelation:
 
     def test_one_over_f_against_trapezoid(self):
         # independent oracle: composite trapezoid at step h and h/2; the
-        # half-step evaluation must agree with the adaptive result
+        # half-step evaluation must agree with the closed-form result
         spec = OneOverF(1.0, 0.1, 10.0)
         tau = 1.0
         val = autocorrelation(spec, tau)
@@ -153,20 +153,23 @@ class TestKernelIntegral:
         for delta in np.linspace(0.0, 8.0, 17):
             assert abs(kernel_integral(spec, 1.0, delta)) <= i0 * (1.0 + 1e-12)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [White(0.7), Lorentzian(1.0, 1.0), OneOverF(1.0, 0.1, 10.0)],
-        ids=["white", "lorentzian", "one_over_f"],
-    )
-    def test_cutoff_doubling_converged(self, spec):
-        for delta in (0.0, 1.5):
-            base = kernel_integral(spec, 1.0, delta)
-            doubled = kernel_integral(spec, 1.0, delta, cutoff_scale=2.0)
-            assert abs(base - doubled) <= 1e-10 * kernel_integral(spec, 1.0, 0.0)
+    def test_lorentzian_slow_drive_limit(self):
+        # rate -> 0: the drive is frozen over the windows, I(d) -> variance tp^2/4
+        for delta in (0.0, 0.4, 1.0, 2.5):
+            val = kernel_integral(Lorentzian(2.0, 1e-9), 1.0, delta)
+            assert val == pytest.approx(0.5, rel=1e-8)
 
-    def test_unreachable_tolerance_raises(self):
-        with pytest.raises(QuadratureNonConvergence):
-            kernel_integral(Lorentzian(1.0, 1.0), 1.0, 1.0, rtol=1e-30)
+    @pytest.mark.parametrize("rate", [0.3, 40.0])
+    def test_lorentzian_beyond_window(self, rate):
+        # d >= tau_p: variance/(2 rate^2) exp(-rate d) (cosh(rate tau_p) - 1)
+        for delta in (1.0, 2.5, 30.0):
+            val = kernel_integral(Lorentzian(1.0, rate), 1.0, delta)
+            ref = math.exp(-rate * delta) * (math.cosh(rate) - 1.0) / (2.0 * rate**2)
+            assert val == pytest.approx(ref, rel=1e-12)
+
+    def test_white_zero_beyond_window_exactly(self):
+        for tau_p, delta in ((1.0, 1.5), (0.1, 0.3), (0.7, 0.7), (1.3, 2.6)):
+            assert kernel_integral(White(0.7), tau_p, delta) == 0.0
 
     def test_invalid_window_raises(self):
         with pytest.raises(DomainError):
