@@ -7,8 +7,23 @@ The channel is diagonal in the computational basis: each matrix element
 
 where s_k = l_k - j_k in {-1, 0, +1} is the transmitted-qubit weight of the
 coherence and g the single-use damping.  Populations (s = 0) are untouched.
-Equivalently D_jl = exp(-2 s^T Sigma s); the two forms are evaluated side by
-side as an internal consistency check.
+Equivalently D_jl = exp(-2 s^T Sigma s); ``decay_factor`` evaluates the two
+forms side by side as an internal consistency check.
+
+``apply_channel`` builds the whole decay matrix from one quadratic form.
+With B the (dim, N) 0/1 bits of the transmitted qubits (in use order) and T
+the Toeplitz matrix of mu, the exponent of coherence (j, l) is
+
+    E_jl = s^T T s = q_j + q_l - 2 M_jl,   M = B T B^T,   q = diag(M),
+
+so the cost is one (dim, N) x (N, dim) product, and E_jj = 0 exactly on
+the populations.
+
+Validated density matrices must be finite, Hermitian, of unit trace and
+positive semidefinite down to EIGENVALUE_FLOOR.  Positivity is tested by a
+Cholesky factorization of m - EIGENVALUE_FLOOR * I, which exists exactly
+when every eigenvalue lies above the floor; the eigenvalues themselves are
+computed only when the factorization fails.
 
 Register convention: qubit position 0 is the most significant bit of the
 basis index (leftmost factor of the tensor product).
@@ -16,6 +31,7 @@ basis index (leftmost factor of the tensor product).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +53,16 @@ TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
 
-def _bits(index: int, n_qubits: int) -> np.ndarray:
-    """Bit vector of a basis index, position 0 = most significant."""
-    return np.array([(index >> (n_qubits - 1 - p)) & 1 for p in range(n_qubits)])
+def _basis_bits(indices, n_qubits: int, positions) -> np.ndarray:
+    """0/1 bits of basis indices at the given register positions.
+
+    Position 0 is the most significant bit.  The result has shape
+    ``np.shape(indices) + (len(positions),)``, one column per position in
+    the order given.
+    """
+    shifts = np.array([n_qubits - 1 - p for p in positions], dtype=np.int64)
+    bits = (np.asarray(indices)[..., None] >> shifts) & 1
+    return bits.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -63,10 +86,14 @@ class CoherenceLabel:
             raise DimensionMismatch(f"bitstrings differ in length: {j!r} vs {l!r}")
         return cls(int(j, 2), int(l, 2), len(j))
 
-    @property
+    @functools.cached_property
     def s(self) -> np.ndarray:
-        """Weights s_k = l_k - j_k per qubit position."""
-        return _bits(self.l, self.n_qubits) - _bits(self.j, self.n_qubits)
+        """Weights s_k = l_k - j_k per qubit position (computed once, read-only)."""
+        # object dtype keeps the shifts exact on registers wider than 63 qubits
+        pair = np.array([self.l, self.j], dtype=object)
+        s = np.subtract(*_basis_bits(pair, self.n_qubits, range(self.n_qubits)))
+        s.flags.writeable = False
+        return s
 
     @property
     def is_population(self) -> bool:
@@ -86,15 +113,24 @@ class DensityMatrix:
         if 1 << n != m.shape[0]:
             raise DimensionMismatch(f"dimension {m.shape[0]} is not a power of two")
         if validate:
+            # NaN compares false against every tolerance below, and what
+            # LAPACK does with it is no check
+            if not np.isfinite(m).all():
+                raise ValueError("density matrix has non-finite entries")
             if np.abs(m - m.conj().T).max() > HERMITICITY_ATOL:
                 raise ValueError("density matrix is not Hermitian")
             if abs(m.trace() - 1.0) > TRACE_ATOL:
                 raise ValueError(f"density matrix trace {m.trace():.15f} != 1")
-            w = np.linalg.eigvalsh(m)
-            if w[0] < EIGENVALUE_FLOOR:
-                raise NotPositiveSemidefinite(
-                    f"density matrix has eigenvalue {w[0]:.3e}"
-                )
+            try:
+                np.linalg.cholesky(m - EIGENVALUE_FLOOR * np.eye(m.shape[0]))
+            except np.linalg.LinAlgError:
+                # the factorization can also break down on rounding right at
+                # the floor; the eigenvalues decide then
+                w = np.linalg.eigvalsh(m)
+                if w[0] < EIGENVALUE_FLOOR:
+                    raise NotPositiveSemidefinite(
+                        f"density matrix has eigenvalue {w[0]:.3e}"
+                    ) from None
         m.flags.writeable = False
         self.matrix = m
 
@@ -146,13 +182,14 @@ def decay_factor(label: CoherenceLabel, cov: PhaseCovariance) -> float:
 
 
 def _decay_matrix(dim: int, n_qubits: int, cov: PhaseCovariance, which) -> np.ndarray:
-    idx = np.arange(dim)
-    shifts = np.array([n_qubits - 1 - p for p in which])
-    bits = (idx[:, None] >> shifts[None, :]) & 1  # (dim, N), use order
-    s = bits[None, :, :] - bits[:, None, :]  # s[j, l, k] = l_k - j_k
-    t = toeplitz(cov.mu)
-    exponents = np.einsum("jlk,kq,jlq->jl", s, t, s)
-    return cov.g**exponents
+    """D_jl = g ** (q_j + q_l - 2 M_jl) with M = B T B^T and q = diag(M)."""
+    b = _basis_bits(np.arange(dim), n_qubits, which).astype(float)  # (dim, N)
+    m = (b @ toeplitz(cov.mu)) @ b.T
+    q = np.diag(m)  # a view of m: read before m is scaled in place
+    exponents = q[:, None] + q[None, :]
+    m *= 2.0
+    exponents -= m
+    return np.power(cov.g, exponents, out=exponents)
 
 
 def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMatrix:
@@ -160,8 +197,12 @@ def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMat
 
     ``which`` lists register positions in transmission order; its k-th entry
     is the qubit occupying channel use k, so lags between uses follow the
-    ordering given here.  Spectator qubits are untouched.  Trace, Hermiticity
-    and positivity are preserved and re-validated on the output.
+    ordering given here.  Spectator qubits are untouched.  Every coherence
+    is scaled by g ** E_jl, with the exponents of all pairs taken from the
+    quadratic form q_j + q_l - 2 (B T B^T)_jl (see the module docstring).
+    Trace, Hermiticity and positivity are preserved, and the output is
+    re-validated like any ``DensityMatrix``, positivity by a Cholesky
+    factorization.
     """
     which = tuple(int(p) for p in which)
     n = rho.n_qubits

@@ -12,12 +12,13 @@ applies a Toffoli that coherently corrects the single-flip syndromes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DensityMatrix
+from .channel import DensityMatrix, _basis_bits
 from .errors import DimensionMismatch, PositionOutOfRange
 
 __all__ = [
@@ -75,8 +76,13 @@ def toffoli(control1: int, control2: int, target: int) -> Gate:
     return Gate("toffoli", target, (control1, control2))
 
 
+@functools.cache
 def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Dense 2^n x 2^n unitary of the gate embedded at its positions."""
+    """Dense 2^n x 2^n unitary of the gate embedded at its positions.
+
+    Built once per (gate, n_qubits); every caller shares the returned
+    read-only array.
+    """
     for p in (gate.target, *gate.controls):
         if not 0 <= p < n_qubits:
             raise PositionOutOfRange(f"position {p} outside register of {n_qubits}")
@@ -85,6 +91,7 @@ def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
         u = np.array([[1.0 + 0j]])
         for p in range(n_qubits):
             u = np.kron(u, _H2 if p == gate.target else np.eye(2))
+        u.flags.writeable = False
         return u
     # controlled flips are permutations of the basis
     u = np.zeros((dim, dim))
@@ -95,6 +102,7 @@ def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
     for i in range(dim):
         j = i ^ (1 << t_bit) if (i & c_mask) == c_mask else i
         u[j, i] = 1.0
+    u.flags.writeable = False
     return u
 
 
@@ -138,9 +146,7 @@ def apply_pauli_z(state: JointState, position: int) -> JointState:
         raise PositionOutOfRange("the reference qubit R is never acted on")
     if not 0 <= position < 4:
         raise PositionOutOfRange(f"position {position} outside register")
-    signs = np.array(
-        [1.0 if not (i >> (3 - position)) & 1 else -1.0 for i in range(16)]
-    )
+    signs = 1.0 - 2.0 * _basis_bits(np.arange(16), 4, (position,))[:, 0]
     return JointState(DensityMatrix(state.rho.matrix * np.outer(signs, signs)))
 
 

@@ -306,7 +306,7 @@ def _suite_route_equivalence(config: RunConfig) -> tuple[bool, str]:
     spec = config.make_spectrum()
     if isinstance(spec, White):
         spec = Lorentzian(config.sigma2, config.gamma)
-    params = ChannelParams(config.coupling, config.tau_p, config.tau, max(3, config.n_uses))
+    params = replace(config, n_uses=max(3, config.n_uses)).make_channel_params()
     c_spec = covariance_from_spectrum(spec, params)
     c_time = covariance_from_autocorrelation(spec, params)
     dev_eta = abs(c_spec.eta_sq - c_time.eta_sq) / c_spec.eta_sq

@@ -47,7 +47,7 @@ PSD_TOLERANCE = 1e-10
 class ChannelParams:
     """Timing and coupling of the transmission line.
 
-    coupling : phase accumulated per unit drive per unit time (lambda)
+    coupling : phase accumulated per unit drive per unit time (lambda), finite
     tau_p    : transit time of one carrier, > 0
     tau      : spacing between consecutive carriers, >= tau_p so windows
                never overlap
@@ -60,6 +60,8 @@ class ChannelParams:
     n_uses: int
 
     def __post_init__(self):
+        if not math.isfinite(self.coupling):
+            raise DomainError(f"coupling must be finite, got {self.coupling}")
         if not self.tau_p > 0.0:
             raise DomainError(f"tau_p must be positive, got {self.tau_p}")
         if not self.tau >= self.tau_p:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CoherenceLabel
+from .channel import CoherenceLabel, _basis_bits
 from .circuit import (
     DECODE_GATES,
     JointState,
@@ -223,9 +223,7 @@ def _tqc_weights() -> tuple[np.ndarray, np.ndarray]:
     projector = np.kron(np.outer(psi, psi.conj()), np.eye(4, dtype=complex))
     k_mat = u_dec.conj().T @ projector @ u_dec
 
-    idx = np.arange(16)
-    shifts = np.array([4 - 1 - p for p in (JointState.Q, JointState.A, JointState.B)])
-    bits = (idx[:, None] >> shifts[None, :]) & 1
+    bits = _basis_bits(np.arange(16), 4, (JointState.Q, JointState.A, JointState.B))
     coeffs: dict[tuple[int, int, int], complex] = {}
     for j in range(16):
         for l in range(16):

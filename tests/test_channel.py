@@ -7,6 +7,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_feasible_covariance
 from memphase.channel import (
@@ -18,7 +20,38 @@ from memphase.channel import (
 )
 import memphase
 from memphase.correlation import PhaseCovariance
-from memphase.errors import DimensionMismatch, PositionOutOfRange
+from memphase.errors import DimensionMismatch, NotPositiveSemidefinite, PositionOutOfRange
+
+# fixed example sequence, so the suite gives the same verdict on every run
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def channel_cases(draw):
+    """(rho, cov, which): a random-rank state and an AR(1)-mixture mu.
+
+    Each AR(1) correlation r**m (|r| <= 1) has a PSD Toeplitz matrix at
+    every order, and so has any convex mixture of them.
+    """
+    n = draw(st.integers(1, 4))
+    n_uses = draw(st.integers(1, n))
+    which = tuple(draw(st.permutations(range(n)))[:n_uses])
+    n_terms = draw(st.integers(1, 3))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_terms, max_size=n_terms)))
+    rates = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n_terms, max_size=n_terms)))
+    mu = [1.0] + [float(weights @ rates**m / weights.sum()) for m in range(1, n_uses)]
+    cov = PhaseCovariance.from_damping(draw(st.floats(0.05, 0.999)), mu)
+    dim = 1 << n
+    rank = draw(st.integers(1, dim))
+    state_rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = state_rng.normal(size=(dim, rank)) + 1j * state_rng.normal(size=(dim, rank))
+    m = a @ a.conj().T
+    return DensityMatrix(m / m.trace()), cov, which
+
+
+def use_order_index(index: int, n_qubits: int, which) -> int:
+    """Basis index of the transmitted qubits alone, in use order."""
+    return int("".join(str((index >> (n_qubits - 1 - p)) & 1) for p in which), 2)
 
 
 class TestCoherenceLabel:
@@ -168,6 +201,18 @@ class TestApplyChannel:
             0.5 * g ** (3 + 4 * mu1 + 2 * mu2), abs=1e-14
         )
 
+    def test_lags_follow_transmission_order(self):
+        # positions 2, 0, 1 occupy uses 0, 1, 2
+        g, mu1, mu2 = 0.8, 0.6, 0.3
+        cov = PhaseCovariance.from_damping(g, [1.0, mu1, mu2])
+        rho = DensityMatrix.from_state_vector(np.ones(8))
+        out = apply_channel(rho, cov, (2, 0, 1)).matrix
+        # positions 0 and 2 sit at uses 1 and 0 (lag 1), positions 1 and 2
+        # at uses 2 and 0 (lag 2)
+        assert out[0b000, 0b101] == pytest.approx(g ** (2 + 2 * mu1) / 8, abs=1e-15)
+        assert out[0b000, 0b011] == pytest.approx(g ** (2 + 2 * mu2) / 8, abs=1e-15)
+        assert out[0b001, 0b100] == pytest.approx(g ** (2 - 2 * mu1) / 8, abs=1e-15)
+
     def test_trace_hermiticity_populations(self, rng):
         for _ in range(30):
             n = int(rng.integers(1, 5))
@@ -216,7 +261,67 @@ class TestApplyChannel:
             apply_channel(rho, cov2, (0, 0))
 
 
+class TestApplyChannelProperties:
+    @PROPERTY_SETTINGS
+    @given(channel_cases())
+    def test_invariants_and_coherence_ratios(self, case):
+        rho, cov, which = case
+        n = rho.n_qubits
+        m = apply_channel(rho, cov, which).matrix
+        assert abs(m.trace() - 1.0) <= 1e-12
+        assert np.abs(m - m.conj().T).max() <= 1e-12
+        assert np.linalg.eigvalsh(m)[0] >= -1e-10
+        np.testing.assert_array_equal(np.diag(m), np.diag(rho.matrix))
+        sub = [use_order_index(i, n, which) for i in range(rho.dim)]
+        expected = np.array(
+            [
+                [decay_factor(CoherenceLabel(sj, sl, len(which)), cov) for sl in sub]
+                for sj in sub
+            ]
+        )
+        np.testing.assert_allclose(m / rho.matrix, expected, rtol=0, atol=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(channel_cases())
+    def test_memoryless_coherences_decay_per_flipped_qubit(self, case):
+        rho, cov, which = case
+        n = rho.n_qubits
+        memoryless = PhaseCovariance.from_damping(cov.g, [1.0] + [0.0] * (len(which) - 1))
+        m = apply_channel(rho, memoryless, which).matrix
+        # mu = (1, 0, ...): D_jl = g ** sum_k |s_k|
+        flips = np.array(
+            [
+                [sum(((j ^ l) >> (n - 1 - p)) & 1 for p in which) for l in range(rho.dim)]
+                for j in range(rho.dim)
+            ]
+        )
+        np.testing.assert_allclose(m / rho.matrix, memoryless.g**flips, rtol=0, atol=1e-12)
+
+
 class TestDensityMatrix:
+    @pytest.mark.parametrize("entry", [np.nan, complex(0.1, np.nan), np.inf])
+    def test_rejects_non_finite(self, entry):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = entry
+        m[1, 0] = np.conj(entry)
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(m)
+
+    @pytest.mark.parametrize("n_qubits", [2, 6])
+    def test_positivity_boundary(self, rng, n_qubits):
+        dim = 1 << n_qubits
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+        def with_min_eigenvalue(w0):
+            w = np.zeros(dim)
+            w[0], w[-2], w[-1] = w0, 0.5 - w0, 0.5
+            m = (q * w) @ q.conj().T
+            return (m + m.conj().T) / 2
+
+        with pytest.raises(NotPositiveSemidefinite, match=r"eigenvalue -1\.000e-09"):
+            DensityMatrix(with_min_eigenvalue(-1e-9))
+        DensityMatrix(with_min_eigenvalue(-1e-11))
+
     def test_rejects_non_hermitian(self):
         m = np.eye(2, dtype=complex) / 2
         m = m.copy()

@@ -71,6 +71,13 @@ class TestGates:
         state[0b100] = 1.0
         np.testing.assert_allclose(u @ state, state, atol=1e-15)
 
+    def test_repeated_calls_share_one_read_only_array(self):
+        u = gate_unitary(cnot(1, 2), 4)
+        assert gate_unitary(cnot(1, 2), 4) is u
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+
     def test_invalid_gates(self):
         with pytest.raises(ValueError):
             cnot(1, 1)

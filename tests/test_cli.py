@@ -248,3 +248,18 @@ class TestMainEntry:
         code = main(["validate", "--config", write_config(tmp_path, "mc_samples = 0\n")])
         assert code == 2
         assert "config error: field 'mc_samples'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_coupling_exit_code(self, tmp_path, capsys, value):
+        code = main(["decay", "--config", write_config(tmp_path, f"coupling = {value}\n")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: channel parameters: coupling must be finite"
+        )
+
+    def test_validate_overlapping_windows_exit_code(self, tmp_path, capsys):
+        code = main(["validate", "--config", write_config(tmp_path, "tau = 0.5\n")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: channel parameters: use spacing tau=0.5"
+        )
