@@ -35,7 +35,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .correlation import PhaseCovariance
 from .errors import DimensionMismatch, NotPositiveSemidefinite, PositionOutOfRange
@@ -162,7 +161,7 @@ def decay_exponent(label: CoherenceLabel, cov: PhaseCovariance) -> float:
             f"{cov.n_uses} uses"
         )
     s = label.s.astype(float)
-    return float(s @ toeplitz(cov.mu) @ s)
+    return float(s @ cov.mu_matrix @ s)
 
 
 def decay_factor(label: CoherenceLabel, cov: PhaseCovariance) -> float:
@@ -184,7 +183,7 @@ def decay_factor(label: CoherenceLabel, cov: PhaseCovariance) -> float:
 def _decay_matrix(dim: int, n_qubits: int, cov: PhaseCovariance, which) -> np.ndarray:
     """D_jl = g ** (q_j + q_l - 2 M_jl) with M = B T B^T and q = diag(M)."""
     b = _basis_bits(np.arange(dim), n_qubits, which).astype(float)  # (dim, N)
-    m = (b @ toeplitz(cov.mu)) @ b.T
+    m = (b @ cov.mu_matrix) @ b.T
     q = np.diag(m)  # a view of m: read before m is scaled in place
     exponents = q[:, None] + q[None, :]
     m *= 2.0

@@ -199,18 +199,12 @@ def bell_state_rq() -> np.ndarray:
     return psi
 
 
-def entanglement_fidelity(state: JointState, reference: np.ndarray | None = None) -> float:
+def entanglement_fidelity(state: JointState) -> float:
     """<psi|rho_RQ|psi> after tracing out the ancillas.
 
-    ``reference`` is a pure state vector on (R, Q); defaults to the Bell pair
-    used by ``prepare_bell_with_ancillas``.
+    psi is the Bell pair on (R, Q) prepared by ``prepare_bell_with_ancillas``.
     """
-    psi = bell_state_rq() if reference is None else np.asarray(reference, dtype=complex)
-    if psi.shape != (4,):
-        raise DimensionMismatch(f"reference must be a 4-vector, got {psi.shape}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-12:
-        psi = psi / norm
+    psi = bell_state_rq()
     rho_rq = partial_trace(state.rho.matrix, (JointState.R, JointState.Q), 4)
     value = np.real_if_close(psi.conj() @ rho_rq @ psi, tol=1000)
     return float(np.real(value))

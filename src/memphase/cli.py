@@ -20,7 +20,6 @@ import argparse
 import hashlib
 import math
 import sys
-import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -37,7 +36,7 @@ from .correlation import (
     epsilon_from_g,
     g_from_epsilon,
 )
-from .errors import ConfigError, DomainError, FeasibilityWarning
+from .errors import ConfigError, DomainError
 from .montecarlo import mc_decay_factor, mc_tqc_fidelity, sample_phases_direct
 from .spectrum import Lorentzian, OneOverF, PowerSpectrum, White
 
@@ -64,20 +63,17 @@ class RunConfig:
     eps_min: float = 1e-4
     eps_max: float = 1e-1
     eps_points: int = 61
-    mu1: float | None = None
-    mu2: float | None = None
     seed: int = 12345
     mc_samples: int = 200_000
-    dt: float = 0.005
     labels: str | None = None
     out: str | None = None
-
-    _FIELD_TYPES = {}  # populated below
 
     @classmethod
     def from_file(cls, path: str | None) -> "RunConfig":
         if path is None:
             return cls()
+        # every field defaults to a value of its type, or to None for a string
+        casters = {f.name: str if f.default is None else type(f.default) for f in fields(cls)}
         values = {}
         try:
             with open(path, encoding="utf-8") as fh:
@@ -92,11 +88,10 @@ class RunConfig:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in cls._FIELD_TYPES:
+            if key not in casters:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            caster = cls._FIELD_TYPES[key]
             try:
-                values[key] = caster(value)
+                values[key] = casters[key](value)
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}:{lineno}: field {key!r}: cannot parse {value!r} ({exc})"
@@ -138,37 +133,6 @@ class RunConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
-
-
-def _optional_float(text: str) -> float | None:
-    return None if text.lower() in ("", "none") else float(text)
-
-
-RunConfig._FIELD_TYPES = {
-    "spectrum": str,
-    "level": float,
-    "sigma2": float,
-    "gamma": float,
-    "amplitude": float,
-    "omega_min": float,
-    "omega_max": float,
-    "coupling": float,
-    "tau_p": float,
-    "tau": float,
-    "n_uses": int,
-    "epsilon": float,
-    "mu1_step": float,
-    "eps_min": float,
-    "eps_max": float,
-    "eps_points": int,
-    "mu1": _optional_float,
-    "mu2": _optional_float,
-    "seed": int,
-    "mc_samples": int,
-    "dt": float,
-    "labels": str,
-    "out": str,
-}
 
 
 def _metadata(config: RunConfig, command: str) -> list[str]:
@@ -304,8 +268,11 @@ def cmd_fig3(config: RunConfig) -> str:
 
 def _suite_route_equivalence(config: RunConfig) -> tuple[bool, str]:
     spec = config.make_spectrum()
+    subject = ""
     if isinstance(spec, White):
-        spec = Lorentzian(config.sigma2, config.gamma)
+        # white noise has no pointwise autocorrelation for the time-domain route
+        spec = replace(config, spectrum="lorentzian").make_spectrum()
+        subject = f" of {spec!r} in place of white"
     params = replace(config, n_uses=max(3, config.n_uses)).make_channel_params()
     c_spec = covariance_from_spectrum(spec, params)
     c_time = covariance_from_autocorrelation(spec, params)
@@ -313,7 +280,7 @@ def _suite_route_equivalence(config: RunConfig) -> tuple[bool, str]:
     dev_mu = float(np.abs(c_spec.mu - c_time.mu).max())
     ok = dev_eta <= 1e-7 and dev_mu <= 1e-7
     return ok, (
-        f"spectral vs time-domain covariance: eta_sq rel dev {dev_eta:.2e}, "
+        f"spectral vs time-domain covariance{subject}: eta_sq rel dev {dev_eta:.2e}, "
         f"max |mu| dev {dev_mu:.2e} (tol 1e-7)"
     )
 
@@ -370,19 +337,6 @@ def cmd_validate(config: RunConfig) -> tuple[str, int]:
     if config.mc_samples < 1:
         raise ConfigError(f"field 'mc_samples': need >= 1, got {config.mc_samples}")
     lines = _metadata(config, "validate")
-    if config.mu1 is not None and config.mu2 is not None:
-        verdict = check_mu_feasible(config.mu1, config.mu2)
-        if not verdict.feasible:
-            warnings.warn(
-                f"configured (mu1={config.mu1}, mu2={config.mu2}) violates "
-                f"{verdict.violation}",
-                FeasibilityWarning,
-                stacklevel=2,
-            )
-            lines.append(
-                f"# WARNING infeasible (mu1,mu2)=({config.mu1},{config.mu2}): "
-                f"{verdict.violation}"
-            )
     suites = [
         ("route_equivalence", _suite_route_equivalence),
         ("gaussian_identity", _suite_gaussian_identity),

@@ -76,12 +76,14 @@ class ChannelParams:
 class PhaseCovariance:
     """Gaussian phase statistics for N channel uses.
 
-    Stores the variance eta^2 and the correlation coefficients by lag
-    (mu[0] = 1); the dense Toeplitz matrix is materialized on demand.
+    Stores the variance eta^2, the correlation coefficients by lag
+    (mu[0] = 1) and their Toeplitz matrix T_kk' = mu_|k-k'|, built once and
+    read-only.
     """
 
     eta_sq: float
     mu: np.ndarray = field(repr=False)
+    mu_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.eta_sq >= 0.0:
@@ -96,12 +98,15 @@ class PhaseCovariance:
             raise DomainError(f"|mu_m| <= 1 violated: {mu}")
         mu = np.clip(mu, -1.0, 1.0)
         mu.flags.writeable = False
+        t = toeplitz(mu)
+        t.flags.writeable = False
         object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu_matrix", t)
         object.__setattr__(self, "eta_sq", float(self.eta_sq))
         self._check_psd()
 
     def _check_psd(self):
-        w = np.linalg.eigvalsh(toeplitz(self.mu))
+        w = np.linalg.eigvalsh(self.mu_matrix)
         if w[0] < -PSD_TOLERANCE:
             raise NotPositiveSemidefinite(
                 f"phase covariance has negative eigenvalue {w[0] * self.eta_sq:.3e} "
@@ -127,7 +132,7 @@ class PhaseCovariance:
     @property
     def sigma(self) -> np.ndarray:
         """Dense N x N covariance matrix <phi_k phi_k'>."""
-        return self.eta_sq * toeplitz(self.mu)
+        return self.eta_sq * self.mu_matrix
 
 
 def covariance_from_spectrum(spec: PowerSpectrum, params: ChannelParams) -> PhaseCovariance:

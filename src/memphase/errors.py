@@ -22,10 +22,10 @@ class QuadratureNonConvergence(ArithmeticError):
 
 
 class NotPositiveSemidefinite(ValueError):
-    """A phase covariance matrix has a negative eigenvalue beyond tolerance.
+    """A covariance or density matrix has a negative eigenvalue beyond tolerance.
 
-    Usually a sign that correlation coefficients are mutually inconsistent
-    or that quadrature tolerances were too loose.
+    For a phase covariance it means the correlation coefficients are
+    mutually inconsistent: no Gaussian phase vector has them.
     """
 
 

@@ -14,10 +14,11 @@ averages.  Two independent sampling routes exist:
   the path integral, O(dt^2); gaps between windows are jumped in a single
   exact step.
 
-Reproducibility contract: ensembles are generated from a fixed number of
-counter-based (Philox) substreams spawned from the seed, so results are
-bit-identical for a given (seed, n) regardless of how work is distributed
-across workers.  All estimators reduce by plain sums.
+Reproducibility contract: an ensemble is drawn from N_SUBSTREAMS
+counter-based (Philox) substreams spawned from the seed and concatenated in
+order, so it is bit-identical for a given (seed, n).  The draws are i.i.d.,
+so every estimator reports the sample mean with the plain standard error
+std(ddof=1)/sqrt(n).
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ __all__ = [
     "mc_tqc_fidelity",
 ]
 
-# fixed stream-splitting granularity; also the batch count for batch-means
-# standard errors.  Fixed so that results never depend on worker count.
+# number of Philox substreams an ensemble is split across.  It fixes which
+# stream draws which sample, so changing it changes every ensemble.
 N_SUBSTREAMS = 20
 
 
@@ -71,8 +72,13 @@ class McEstimate:
     value: complex | float
     standard_error: float
     n_samples: int
-    seed: int | None = None
     imag_standard_error: float = 0.0
+
+
+def _standard_error(x: np.ndarray) -> float:
+    """Standard error std(ddof=1)/sqrt(n) of the mean of i.i.d. samples; 0 for n = 1."""
+    n = x.shape[0]
+    return float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
 def _chunk_sizes(n: int) -> list[int]:
@@ -170,12 +176,7 @@ def sample_phases_trajectory(
     return out
 
 
-def mc_decay_factor(
-    label: CoherenceLabel,
-    phases: np.ndarray,
-    *,
-    seed: int | None = None,
-) -> McEstimate:
+def mc_decay_factor(label: CoherenceLabel, phases: np.ndarray) -> McEstimate:
     """Empirical mean of exp(2i sum_k s_k phi_k) over the ensemble.
 
     The imaginary part must be statistically compatible with zero (the
@@ -192,13 +193,7 @@ def mc_decay_factor(
             f"{label.n_qubits} qubits"
         )
     z = np.exp(2j * (phases @ label.s.astype(float)))
-    value = complex(z.mean())
-    if n > 1:
-        se_re = float(z.real.std(ddof=1) / math.sqrt(n))
-        se_im = float(z.imag.std(ddof=1) / math.sqrt(n))
-    else:
-        se_re = se_im = 0.0
-    return McEstimate(value, se_re, n, seed, se_im)
+    return McEstimate(complex(z.mean()), _standard_error(z.real), n, _standard_error(z.imag))
 
 
 # --- per-realization code pipeline ------------------------------------------
@@ -210,8 +205,10 @@ def mc_decay_factor(
 #   K = U_dec^dag (|bell><bell|_RQ (x) 1_AB) U_dec,
 #
 # a fixed trigonometric polynomial in phi whose coefficients are grouped by
-# the 27 distinct weight vectors s in {-1,0,1}^3.  Averaging F over
-# realizations equals the fidelity of the averaged state (linearity).
+# the 27 distinct weight vectors s in {-1,0,1}^3.  Every gate and the encoded
+# state are real, so the coefficients c_s are real and F is the cosine sum
+# sum_s c_s cos(2 s.phi).  Averaging F over realizations equals the fidelity
+# of the averaged state (linearity).
 
 @functools.cache
 def _tqc_weights() -> tuple[np.ndarray, np.ndarray]:
@@ -234,6 +231,9 @@ def _tqc_weights() -> tuple[np.ndarray, np.ndarray]:
             coeffs[s] = coeffs.get(s, 0.0) + w
     s_mat = np.array(sorted(coeffs), dtype=float)
     c_vec = np.array([coeffs[tuple(int(x) for x in s)] for s in s_mat])
+    if np.any(c_vec.imag != 0.0):
+        raise ArithmeticError(f"pipeline weights are not real: {c_vec!r}")
+    c_vec = c_vec.real
     if not abs(c_vec.sum() - 1.0) < 1e-12:
         raise ArithmeticError(f"noiseless pipeline fidelity is {c_vec.sum()!r}, not 1")
     # every caller shares the cached arrays
@@ -242,17 +242,12 @@ def _tqc_weights() -> tuple[np.ndarray, np.ndarray]:
     return s_mat, c_vec
 
 
-def mc_tqc_fidelity(
-    phases: np.ndarray,
-    *,
-    seed: int | None = None,
-    n_batches: int = N_SUBSTREAMS,
-) -> McEstimate:
+def mc_tqc_fidelity(phases: np.ndarray) -> McEstimate:
     """Code fidelity averaged over realized phase triples (Q, A, B order).
 
     Applies the realized dephasing unitary inside the encode/decode pipeline
-    for every sample and averages; the standard error comes from batch means
-    over ``n_batches`` contiguous batches.
+    for every sample and averages; the standard error is that of the mean of
+    the per-sample fidelities.
     """
     phases = np.asarray(phases)
     n = phases.shape[0]
@@ -261,16 +256,8 @@ def mc_tqc_fidelity(
     if phases.ndim != 2 or phases.shape[1] != 3:
         raise DimensionMismatch(f"need (n, 3) phase samples, got {phases.shape}")
     s_mat, c_vec = _tqc_weights()
-    vals = np.zeros(n, dtype=complex)
+    fid = np.zeros(n)
+    # one weight at a time: an (n, 27) matrix of cosines would cost 27 n floats
     for s, c in zip(s_mat, c_vec):
-        vals += c * np.exp(2j * (phases @ s))
-    fid = vals.real
-    value = float(fid.mean())
-    if n >= n_batches and n_batches > 1:
-        batch_means = np.array([b.mean() for b in np.array_split(fid, n_batches)])
-        se = float(batch_means.std(ddof=1) / math.sqrt(n_batches))
-    elif n > 1:
-        se = float(fid.std(ddof=1) / math.sqrt(n))
-    else:
-        se = 0.0
-    return McEstimate(value, se, n, seed)
+        fid += c * np.cos(2.0 * (phases @ s))
+    return McEstimate(float(fid.mean()), _standard_error(fid), n)

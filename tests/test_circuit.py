@@ -8,7 +8,6 @@ from memphase.circuit import (
     JointState,
     apply_gate,
     apply_pauli_z,
-    bell_state_rq,
     cnot,
     entanglement_fidelity,
     gate_unitary,
@@ -146,7 +145,7 @@ class TestPipeline:
 class TestEntanglementFidelity:
     def test_pure_reference_scores_one(self):
         state = prepare_bell_with_ancillas()
-        assert entanglement_fidelity(state, bell_state_rq()) == pytest.approx(1.0)
+        assert entanglement_fidelity(state) == pytest.approx(1.0)
 
     def test_single_use_fidelity(self):
         for g in (0.2, 0.5, 0.998):

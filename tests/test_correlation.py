@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 from memphase.correlation import (
     ChannelParams,
@@ -232,3 +235,18 @@ class TestFeasibility:
     def test_verdict_is_truthy(self):
         assert bool(check_mu_feasible(0.3, 0.1))
         assert not bool(check_mu_feasible(0.3, 0.5))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_feasible_pairs_are_positive_semidefinite(self, mu1, mu2):
+        if check_mu_feasible(mu1, mu2).feasible:
+            assert np.linalg.eigvalsh(toeplitz([1.0, mu1, mu2]))[0] >= -1e-12
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.0, 1.0), st.floats(1e-3, 1.0))
+    def test_pairs_below_the_lower_bound_are_not(self, mu1, margin):
+        # det T = (1 - mu2)(1 + mu2 - 2 mu1^2) < 0 below 2 mu1^2 - 1
+        mu2 = 2.0 * mu1 * mu1 - 1.0 - margin
+        verdict = check_mu_feasible(mu1, mu2)
+        assert verdict.violation == "mu2_below_lower"
+        assert np.linalg.eigvalsh(toeplitz([1.0, mu1, mu2]))[0] < 0.0

@@ -124,10 +124,9 @@ class TestDecayEstimator:
         g = 0.7
         cov = PhaseCovariance.from_damping(g, [1.0])
         phases = sample_phases_direct(cov, 23, 1_000_000)
-        est = mc_decay_factor(CoherenceLabel(0, 1, 1), phases, seed=23)
+        est = mc_decay_factor(CoherenceLabel(0, 1, 1), phases)
         assert abs(est.value.real - g) <= 4.0 * est.standard_error
         assert abs(est.value.imag) <= 4.0 * est.imag_standard_error
-        assert est.seed == 23
 
     def test_ghz_band(self):
         g, mu1, mu2 = 0.8, 0.5, 0.3
@@ -202,8 +201,18 @@ class TestFidelityEstimator:
         g = 1 - 2 * 0.05
         cov = PhaseCovariance.from_damping(g, [1.0, mu1, mu2])
         phases = sample_phases_direct(cov, 41, 200_000)
-        est = mc_tqc_fidelity(phases, seed=41)
+        est = mc_tqc_fidelity(phases)
         assert abs(est.value - fe_tqc_memory(g, mu1, mu2)) <= 4.0 * est.standard_error
+
+    def test_standard_error_is_plain_sample_error(self):
+        # the draws are i.i.d., so the error is that of the mean of per-sample fidelities
+        cov = PhaseCovariance.from_damping(0.6, [1.0, 0.5, 0.25])
+        phases = sample_phases_direct(cov, 43, 50)
+        per_sample = np.array([mc_tqc_fidelity(phi[None, :]).value for phi in phases])
+        est = mc_tqc_fidelity(phases)
+        assert est.value == pytest.approx(per_sample.mean(), rel=1e-13)
+        want = per_sample.std(ddof=1) / np.sqrt(50)
+        assert est.standard_error == pytest.approx(want, rel=1e-12)
 
     def test_errors(self):
         with pytest.raises(EmptyEnsemble):
