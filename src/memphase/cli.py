@@ -175,8 +175,11 @@ def cmd_decay(config: RunConfig) -> str:
     """Correlation coefficients, damping, and per-label decay factors."""
     spec = config.make_spectrum()
     params = config.make_channel_params()
-    cov = covariance_from_spectrum(spec, params)
-    eps = epsilon_from_g(cov.g)
+    try:
+        cov = covariance_from_spectrum(spec, params)
+        eps = epsilon_from_g(cov.g)
+    except DomainError as exc:
+        raise ConfigError(f"phase covariance: {exc}") from exc
     lines = _metadata(config, "decay")
     lines.append(f"# eta_sq={cov.eta_sq:.12e} g={cov.g:.12e} epsilon={eps:.12e}")
     if cov.n_uses >= 3:
@@ -274,8 +277,11 @@ def _suite_route_equivalence(config: RunConfig) -> tuple[bool, str]:
         spec = replace(config, spectrum="lorentzian").make_spectrum()
         subject = f" of {spec!r} in place of white"
     params = replace(config, n_uses=max(3, config.n_uses)).make_channel_params()
-    c_spec = covariance_from_spectrum(spec, params)
-    c_time = covariance_from_autocorrelation(spec, params)
+    try:
+        c_spec = covariance_from_spectrum(spec, params)
+        c_time = covariance_from_autocorrelation(spec, params)
+    except DomainError as exc:
+        raise ConfigError(f"phase covariance: {exc}") from exc
     dev_eta = abs(c_spec.eta_sq - c_time.eta_sq) / c_spec.eta_sq
     dev_mu = float(np.abs(c_spec.mu - c_time.mu).max())
     ok = dev_eta <= 1e-7 and dev_mu <= 1e-7
@@ -334,8 +340,11 @@ def _suite_mc_fidelity(config: RunConfig) -> tuple[bool, str]:
 
 def cmd_validate(config: RunConfig) -> tuple[str, int]:
     """Run all oracle suites; returns (report, exit status)."""
-    if config.mc_samples < 1:
-        raise ConfigError(f"field 'mc_samples': need >= 1, got {config.mc_samples}")
+    if config.seed < 0:
+        raise ConfigError(f"field 'seed': need >= 0, got {config.seed}")
+    # one sample has no standard error to measure a deviation in
+    if config.mc_samples < 2:
+        raise ConfigError(f"field 'mc_samples': need >= 2, got {config.mc_samples}")
     lines = _metadata(config, "validate")
     suites = [
         ("route_equivalence", _suite_route_equivalence),

@@ -86,8 +86,8 @@ class PhaseCovariance:
     mu_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.eta_sq >= 0.0:
-            raise DomainError(f"eta_sq must be >= 0, got {self.eta_sq}")
+        if not (math.isfinite(self.eta_sq) and self.eta_sq >= 0.0):
+            raise DomainError(f"eta_sq must be finite and >= 0, got {self.eta_sq}")
         mu = np.asarray(self.mu, dtype=float).copy()
         if mu.ndim != 1 or mu.size < 1:
             raise DomainError("mu must be a 1-D vector with at least one lag")
@@ -139,13 +139,20 @@ def covariance_from_spectrum(spec: PowerSpectrum, params: ChannelParams) -> Phas
     """Phase covariance by the spectral kernel route.
 
     eta^2 = lambda^2 * I(0) and mu_m = I(m*tau)/I(0) with I the windowed
-    kernel integral of the drive spectrum.
+    kernel integral of the drive spectrum.  Raises ``DomainError`` when I(0)
+    is not positive and finite (it underflows for a very short window) or
+    eta^2 overflows.
     """
     i0 = kernel_integral(spec, params.tau_p, 0.0)
+    if not (math.isfinite(i0) and i0 > 0.0):
+        raise DomainError(
+            f"kernel integral I(0) = {i0!r} at tau_p = {params.tau_p} is not positive and finite"
+        )
     mu = np.ones(params.n_uses)
     for m in range(1, params.n_uses):
         mu[m] = kernel_integral(spec, params.tau_p, m * params.tau) / i0
-    return PhaseCovariance(eta_sq=params.coupling**2 * i0, mu=mu)
+    # a product, not coupling**2, which raises OverflowError instead of giving inf
+    return PhaseCovariance(eta_sq=params.coupling * params.coupling * i0, mu=mu)
 
 
 def _window_overlap_integral(
@@ -194,7 +201,7 @@ def covariance_from_autocorrelation(
             "time-domain covariance route needs a pointwise C(tau); "
             "white noise only supports the spectral route"
         )
-    lam2_4 = params.coupling**2 / 4.0
+    lam2_4 = params.coupling * params.coupling / 4.0
     t0 = window_start
     entries = np.empty(params.n_uses)
     for m in range(params.n_uses):

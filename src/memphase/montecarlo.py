@@ -24,6 +24,7 @@ std(ddof=1)/sqrt(n).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -204,14 +205,29 @@ def mc_decay_factor(label: CoherenceLabel, phases: np.ndarray) -> McEstimate:
 #   F(phi) = sum_{j,l} rho_enc[j,l] * exp(2i s(j,l).phi) * K[l,j],
 #   K = U_dec^dag (|bell><bell|_RQ (x) 1_AB) U_dec,
 #
-# a fixed trigonometric polynomial in phi whose coefficients are grouped by
-# the 27 distinct weight vectors s in {-1,0,1}^3.  Every gate and the encoded
-# state are real, so the coefficients c_s are real and F is the cosine sum
-# sum_s c_s cos(2 s.phi).  Averaging F over realizations equals the fidelity
-# of the averaged state (linearity).
+# a fixed trigonometric polynomial in phi whose coefficients c_s are grouped
+# by the 27 weight vectors s in {-1,0,1}^3.  Every gate and the encoded state
+# are real, so the c_s are real and F = sum_s c_s cos(2 s.phi).  The pipeline
+# gives equal weights to +e_k and -e_k, equal weights to the eight all-+-1
+# vectors, and zero weight to every vector with two nonzero entries, so with
+# the product identity
+#
+#   sum_{s in {+-1}^3} cos(2 s.phi) = 8 cos(2 phi_Q) cos(2 phi_A) cos(2 phi_B)
+#
+# the sum folds to three cosines per realization:
+#
+#   F(phi) = w0 + sum_k w1_k cos(2 phi_k) + w3 prod_k cos(2 phi_k),
+#
+# w0 = c_0, w1_k = c_{+e_k} + c_{-e_k}, w3 = sum of the eight all-+-1 weights.
+# Averaging F over realizations equals the fidelity of the averaged state
+# (linearity).
 
-@functools.cache
-def _tqc_weights() -> tuple[np.ndarray, np.ndarray]:
+# absolute tolerance of the structure checks the fold rests on
+_FOLD_TOLERANCE = 1e-12
+
+
+def _pipeline_weights() -> dict[tuple[int, int, int], float]:
+    """The real weights c_s of the 27 vectors s, derived from the gate unitaries."""
     rho_enc = tqc_encode(prepare_bell_with_ancillas()).rho.matrix
     u_dec = np.eye(16, dtype=complex)
     for gate in DECODE_GATES:
@@ -229,25 +245,52 @@ def _tqc_weights() -> tuple[np.ndarray, np.ndarray]:
                 continue
             s = tuple(int(b) for b in bits[l] - bits[j])
             coeffs[s] = coeffs.get(s, 0.0) + w
-    s_mat = np.array(sorted(coeffs), dtype=float)
-    c_vec = np.array([coeffs[tuple(int(x) for x in s)] for s in s_mat])
-    if np.any(c_vec.imag != 0.0):
-        raise ArithmeticError(f"pipeline weights are not real: {c_vec!r}")
-    c_vec = c_vec.real
-    if not abs(c_vec.sum() - 1.0) < 1e-12:
-        raise ArithmeticError(f"noiseless pipeline fidelity is {c_vec.sum()!r}, not 1")
-    # every caller shares the cached arrays
-    s_mat.flags.writeable = False
-    c_vec.flags.writeable = False
-    return s_mat, c_vec
+    if any(c.imag != 0.0 for c in coeffs.values()):
+        raise ArithmeticError(f"pipeline weights are not real: {coeffs!r}")
+    total = sum(c.real for c in coeffs.values())
+    if not abs(total - 1.0) < 1e-12:
+        raise ArithmeticError(f"noiseless pipeline fidelity is {total!r}, not 1")
+    return {s: c.real for s, c in coeffs.items()}
+
+
+def _fold_weights(
+    coeffs: dict[tuple[int, int, int], float],
+) -> tuple[float, np.ndarray, float]:
+    """Fold the 27 weights c_s into (w0, w1, w3); raises if the fold is invalid."""
+
+    def weights(vectors: np.ndarray) -> np.ndarray:
+        return np.array([coeffs.get(tuple(s), 0.0) for s in vectors.tolist()])
+
+    units = np.eye(3, dtype=int)
+    plus, minus = weights(units), weights(-units)
+    grid = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+    support = np.abs(grid).sum(axis=1)
+    pairs, triples = weights(grid[support == 2]), weights(grid[support == 3])
+    if np.any(np.abs(plus - minus) > _FOLD_TOLERANCE):
+        raise ArithmeticError(f"weights of +e_k and -e_k differ: {plus!r} vs {minus!r}")
+    if triples.max() - triples.min() > _FOLD_TOLERANCE:
+        raise ArithmeticError(f"the eight all-+-1 weights differ: {triples!r}")
+    if np.any(np.abs(pairs) > _FOLD_TOLERANCE):
+        raise ArithmeticError(f"weights with two nonzero entries are not 0: {pairs!r}")
+    w1 = plus + minus
+    w1.flags.writeable = False
+    return float(coeffs.get((0, 0, 0), 0.0)), w1, float(triples.sum())
+
+
+@functools.cache
+def _tqc_weights() -> tuple[float, np.ndarray, float]:
+    # every caller shares the cached, read-only w1
+    return _fold_weights(_pipeline_weights())
 
 
 def mc_tqc_fidelity(phases: np.ndarray) -> McEstimate:
     """Code fidelity averaged over realized phase triples (Q, A, B order).
 
-    Applies the realized dephasing unitary inside the encode/decode pipeline
-    for every sample and averages; the standard error is that of the mean of
-    the per-sample fidelities.
+    Each sample's fidelity is the encode/decode pipeline's trigonometric
+    polynomial in folded form, F(phi) = w0 + sum_k w1_k cos(2 phi_k) +
+    w3 prod_k cos(2 phi_k), which rests on the product identity
+    sum_{s in {+-1}^3} cos(2 s.phi) = 8 prod_k cos(2 phi_k).  The standard
+    error is that of the mean of the per-sample fidelities.
     """
     phases = np.asarray(phases)
     n = phases.shape[0]
@@ -255,9 +298,8 @@ def mc_tqc_fidelity(phases: np.ndarray) -> McEstimate:
         raise EmptyEnsemble("cannot estimate a fidelity from zero samples")
     if phases.ndim != 2 or phases.shape[1] != 3:
         raise DimensionMismatch(f"need (n, 3) phase samples, got {phases.shape}")
-    s_mat, c_vec = _tqc_weights()
-    fid = np.zeros(n)
-    # one weight at a time: an (n, 27) matrix of cosines would cost 27 n floats
-    for s, c in zip(s_mat, c_vec):
-        fid += c * np.cos(2.0 * (phases @ s))
+    w0, w1, w3 = _tqc_weights()
+    # no temporary larger than (n, 3): 200k samples cost ~5 MB here
+    c = np.cos(2.0 * phases)
+    fid = w0 + c @ w1 + w3 * (c[:, 0] * c[:, 1] * c[:, 2])
     return McEstimate(float(fid.mean()), _standard_error(fid), n)

@@ -272,6 +272,33 @@ class TestMainEntry:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: spectrum parameters:")
 
+    @pytest.mark.parametrize(
+        "command,config_text",
+        [
+            ("decay", "coupling = 100\n"),
+            ("decay", "coupling = 1e200\n"),
+            ("validate", "coupling = 1e200\n"),
+            ("decay", "tau_p = 1e-300\ntau = 1\n"),
+            ("validate", "tau_p = 1e-300\ntau = 1\n"),
+        ],
+        ids=["decay-g-underflow", "decay-eta-overflow", "validate-eta-overflow",
+             "decay-kernel-underflow", "validate-kernel-underflow"],
+    )
+    def test_covariance_out_of_range_exit_code(self, tmp_path, capsys, command, config_text):
+        code = main([command, "--config", write_config(tmp_path, config_text)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: phase covariance:")
+
+    def test_negative_seed_exit_code(self, capsys):
+        code = main(["validate", "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: field 'seed': need >= 0")
+
+    def test_single_mc_sample_exit_code(self, tmp_path, capsys):
+        code = main(["validate", "--config", write_config(tmp_path, "mc_samples = 1\n")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: field 'mc_samples': need >= 2")
+
     def test_nonpositive_mc_samples_exit_code(self, tmp_path, capsys):
         code = main(["validate", "--config", write_config(tmp_path, "mc_samples = 0\n")])
         assert code == 2

@@ -76,6 +76,11 @@ class TestPhaseCovariance:
         with pytest.raises(NotPositiveSemidefinite):
             PhaseCovariance(eta_sq=1.0, mu=np.array([1.0, 0.9, -0.9]))
 
+    @pytest.mark.parametrize("eta_sq", [math.inf, math.nan, -1.0])
+    def test_rejects_non_finite_or_negative_eta_sq(self, eta_sq):
+        with pytest.raises(DomainError):
+            PhaseCovariance(eta_sq=eta_sq, mu=np.array([1.0, 0.5]))
+
     def test_rejects_damping_outside_unit_interval(self):
         with pytest.raises(DomainError):
             PhaseCovariance.from_damping(0.0, [1.0])

@@ -1,5 +1,10 @@
 """Stochastic oracle: sampling routes and Monte Carlo estimators."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -14,8 +19,13 @@ from memphase.circuit import (
 )
 from memphase.codes import fe_tqc_memory
 from memphase.correlation import ChannelParams, PhaseCovariance, covariance_from_spectrum
+import memphase
 from memphase.errors import DimensionMismatch, EmptyEnsemble, StepTooCoarse
 from memphase.montecarlo import (
+    _fold_weights,
+    _pipeline_weights,
+    _standard_error,
+    _tqc_weights,
     mc_decay_factor,
     mc_tqc_fidelity,
     sample_phases_direct,
@@ -172,6 +182,22 @@ class TestDecayEstimator:
             mc_decay_factor(CoherenceLabel(0, 1, 2), np.zeros((10, 3)))
 
 
+def cosine_sum_fidelity(phases):
+    """The 27-term estimator the folded form replaced: sum_s c_s cos(2 s.phi)."""
+    fid = np.zeros(phases.shape[0])
+    for s, c in sorted(_pipeline_weights().items()):
+        fid += c * np.cos(2.0 * (phases @ np.array(s, dtype=float)))
+    return fid.mean(), _standard_error(fid)
+
+
+# each breaks one condition the fold rests on: (vector, added weight)
+FOLD_PERTURBATIONS = {
+    "pair-weight": ((1, 1, 0), 1e-9),
+    "asymmetric-unit": ((0, -1, 0), 1e-9),
+    "unequal-triple": ((1, -1, 1), 1e-9),
+}
+
+
 class TestFidelityEstimator:
     def test_noiseless_ensemble_is_exact(self):
         est = mc_tqc_fidelity(np.zeros((500, 3)))
@@ -203,6 +229,52 @@ class TestFidelityEstimator:
         phases = sample_phases_direct(cov, 41, 200_000)
         est = mc_tqc_fidelity(phases)
         assert abs(est.value - fe_tqc_memory(g, mu1, mu2)) <= 4.0 * est.standard_error
+
+    @pytest.mark.parametrize("mu1,mu2", [(0.0, 0.0), (1.0, 1.0), (0.5, 0.25)])
+    def test_matches_cosine_sum_reference(self, mu1, mu2):
+        cov = PhaseCovariance.from_damping(1 - 2 * 0.05, [1.0, mu1, mu2])
+        phases = sample_phases_direct(cov, 47, 200_000)
+        value, standard_error = cosine_sum_fidelity(phases)
+        est = mc_tqc_fidelity(phases)
+        assert est.value == pytest.approx(value, rel=1e-14, abs=0.0)
+        assert est.standard_error == pytest.approx(standard_error, rel=1e-12, abs=0.0)
+
+    def test_folded_weights_are_cached_and_read_only(self):
+        w0, w1, w3 = _tqc_weights()
+        assert _tqc_weights()[1] is w1
+        assert not w1.flags.writeable
+        assert w0 + w1.sum() + w3 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("vector,delta", FOLD_PERTURBATIONS.values(), ids=FOLD_PERTURBATIONS)
+    def test_fold_rejects_broken_structure(self, vector, delta):
+        coeffs = _pipeline_weights()
+        coeffs[vector] += delta
+        with pytest.raises(ArithmeticError):
+            _fold_weights(coeffs)
+
+    def test_fold_checks_survive_optimized_mode(self):
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from memphase.montecarlo import _fold_weights, _pipeline_weights
+
+            assert False, "asserts must be stripped in this run"
+            for vector, delta in {list(FOLD_PERTURBATIONS.values())!r}:
+                coeffs = _pipeline_weights()
+                coeffs[vector] += delta
+                try:
+                    _fold_weights(coeffs)
+                except ArithmeticError:
+                    print(f"optimize={{sys.flags.optimize}} raised")
+            """
+        )
+        package_root = os.path.dirname(os.path.dirname(memphase.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout.splitlines() == ["optimize=1 raised"] * len(FOLD_PERTURBATIONS)
 
     def test_standard_error_is_plain_sample_error(self):
         # the draws are i.i.d., so the error is that of the mean of per-sample fidelities
