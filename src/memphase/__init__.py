@@ -25,7 +25,6 @@ from .circuit import (
     tqc_encode,
 )
 from .codes import (
-    CodePoint,
     fe_single,
     fe_tqc_approx,
     fe_tqc_general,
@@ -71,16 +70,13 @@ from .spectrum import (
     White,
     autocorrelation,
     kernel_integral,
-    process_variance,
     spectral_density,
-    white_kernel_closed_form,
 )
 
 __all__ = [
     "__version__",
     "White", "Lorentzian", "OneOverF", "PowerSpectrum",
-    "spectral_density", "process_variance", "autocorrelation",
-    "kernel_integral", "white_kernel_closed_form",
+    "spectral_density", "autocorrelation", "kernel_integral",
     "ChannelParams", "PhaseCovariance", "MuFeasibility",
     "covariance_from_spectrum", "covariance_from_autocorrelation",
     "epsilon_from_g", "g_from_epsilon", "check_mu_feasible",
@@ -89,7 +85,7 @@ __all__ = [
     "prepare_bell_with_ancillas", "apply_gate", "apply_pauli_z",
     "tqc_encode", "tqc_decode", "partial_trace", "bell_state_rq",
     "entanglement_fidelity",
-    "CodePoint", "fe_single", "fe_tqc_general", "fe_tqc_memory",
+    "fe_single", "fe_tqc_general", "fe_tqc_memory",
     "pe_tqc_memory", "fe_tqc_approx", "pe_two_qubit", "mu2_opt",
     "fe_tqc_via_circuit",
     "McEstimate", "sample_phases_direct", "sample_phases_trajectory",

@@ -147,11 +147,6 @@ class DensityMatrix:
         v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()), validate=False)
 
-    @classmethod
-    def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
-        dim = 1 << n_qubits
-        return cls(np.eye(dim, dtype=complex) / dim, validate=False)
-
 
 def decay_exponent(label: CoherenceLabel, cov: PhaseCovariance) -> float:
     """Damping power E = sum s_k^2 + 2 sum_{k>k'} s_k s_k' mu_{k-k'}, >= 0."""

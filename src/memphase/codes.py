@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .channel import apply_channel
 from .circuit import (
@@ -25,11 +24,10 @@ from .circuit import (
     tqc_decode,
     tqc_encode,
 )
-from .correlation import PhaseCovariance, check_mu_feasible, epsilon_from_g
+from .correlation import PhaseCovariance, check_mu_feasible
 from .errors import DimensionMismatch, DomainError, FeasibilityWarning
 
 __all__ = [
-    "CodePoint",
     "fe_single",
     "fe_tqc_general",
     "fe_tqc_memory",
@@ -44,24 +42,6 @@ __all__ = [
 def _check_g(g: float) -> None:
     if not 0.0 < g <= 1.0:
         raise DomainError(f"damping g must be in (0, 1], got {g}")
-
-
-@dataclass(frozen=True)
-class CodePoint:
-    """One operating point (g, mu1, mu2) of a code sweep."""
-
-    g: float
-    mu1: float
-    mu2: float
-    code: str = "tqc"
-
-    @property
-    def epsilon(self) -> float:
-        return epsilon_from_g(self.g)
-
-    @property
-    def feasible(self) -> bool:
-        return check_mu_feasible(self.mu1, self.mu2).feasible
 
 
 def fe_single(g: float) -> float:

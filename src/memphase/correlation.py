@@ -91,6 +91,8 @@ class PhaseCovariance:
         mu = np.asarray(self.mu, dtype=float).copy()
         if mu.ndim != 1 or mu.size < 1:
             raise DomainError("mu must be a 1-D vector with at least one lag")
+        if not np.all(np.isfinite(mu)):
+            raise DomainError(f"mu must be finite, got {mu}")
         if abs(mu[0] - 1.0) > 1e-12:
             raise DomainError(f"mu[0] must be 1, got {mu[0]}")
         mu[0] = 1.0
@@ -195,6 +197,9 @@ def covariance_from_autocorrelation(
     exists so that invariance can be exercised numerically.
 
     Exists solely as an independent cross-check of the spectral route.
+    Raises ``DomainError`` when the variance (the m = 0 entry) is not
+    positive and finite, as for lambda = 0, since the correlations are then
+    undefined.
     """
     if isinstance(spec, White):
         raise WhiteNoiseUndefined(
@@ -209,7 +214,13 @@ def covariance_from_autocorrelation(
         entries[m] = lam2_4 * _window_overlap_integral(
             spec, t0, t0 + params.tau_p, tm, tm + params.tau_p
         )
-    return PhaseCovariance(eta_sq=entries[0], mu=entries / entries[0])
+    variance = float(entries[0])
+    if not (math.isfinite(variance) and variance > 0.0):
+        raise DomainError(
+            f"time-domain variance {variance!r} at coupling = {params.coupling} "
+            "is not positive and finite"
+        )
+    return PhaseCovariance(eta_sq=variance, mu=entries / variance)
 
 
 def epsilon_from_g(g: float) -> float:

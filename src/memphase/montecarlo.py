@@ -15,10 +15,12 @@ averages.  Two independent sampling routes exist:
   exact step.
 
 Reproducibility contract: an ensemble is drawn from N_SUBSTREAMS
-counter-based (Philox) substreams spawned from the seed and concatenated in
-order, so it is bit-identical for a given (seed, n).  The draws are i.i.d.,
-so every estimator reports the sample mean with the plain standard error
-std(ddof=1)/sqrt(n).
+counter-based (Philox) substreams spawned from the seed.  Substream i fills
+the i-th fixed block of rows, in order, so the ensemble is bit-identical for
+a given (seed, n).  The substreams run on up to one thread per CPU the
+process may use; each writes only its own rows, so the ensemble does not
+depend on the thread count.  The draws are i.i.d., so every estimator
+reports the sample mean with the plain standard error std(ddof=1)/sqrt(n).
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +62,9 @@ __all__ = [
 ]
 
 # number of Philox substreams an ensemble is split across.  It fixes which
-# stream draws which sample, so changing it changes every ensemble.
+# stream draws which sample, so changing it changes every ensemble.  Each
+# substream fills a fixed block of rows, on up to one thread per usable CPU;
+# the thread count never changes an ensemble.
 N_SUBSTREAMS = 20
 
 
@@ -92,6 +98,34 @@ def _stream_generators(seed: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(child)) for child in seq.spawn(N_SUBSTREAMS)]
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fill_substreams(fill, seed: int, n: int) -> None:
+    """Call ``fill(gen, rows)`` for every non-empty substream of an n-row ensemble.
+
+    ``rows`` is the substream's fixed slice of the ensemble.  The calls run on
+    a pool of one thread per usable CPU, capped at the number of calls, and an
+    error raised in any call reaches the caller.  ``fill`` must write only its
+    own rows and call only numpy (whose RNG fills and ufuncs release the
+    GIL), never a traced memphase function.
+    """
+    tasks = []
+    start = 0
+    for gen, size in zip(_stream_generators(seed), _chunk_sizes(n)):
+        if size > 0:
+            tasks.append((gen, slice(start, start + size)))
+        start += size
+    with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(tasks)))) as pool:
+        for future in [pool.submit(fill, gen, rows) for gen, rows in tasks]:
+            future.result()
+
+
 def _covariance_factor(cov: PhaseCovariance) -> np.ndarray:
     """Symmetric factor L with L L^T = Sigma (eigendecomposition, PSD-safe)."""
     sigma = cov.sigma
@@ -112,15 +146,18 @@ def _covariance_factor(cov: PhaseCovariance) -> np.ndarray:
 def sample_phases_direct(cov: PhaseCovariance, seed: int, n: int) -> np.ndarray:
     """Exact multivariate-normal phase draws, shape (n, N).
 
-    Deterministic for fixed (seed, n): samples come from N_SUBSTREAMS spawned
-    Philox streams concatenated in order.
+    Deterministic for fixed (seed, n): N_SUBSTREAMS spawned Philox streams
+    fill consecutive blocks of rows.
     """
-    factor = _covariance_factor(cov)
-    chunks = []
-    for gen, size in zip(_stream_generators(seed), _chunk_sizes(n)):
-        z = gen.standard_normal((size, cov.n_uses))
-        chunks.append(z @ factor.T)
-    return np.vstack(chunks) if chunks else np.empty((0, cov.n_uses))
+    factor_t = _covariance_factor(cov).T
+    out = np.empty((n, cov.n_uses))
+
+    def fill(gen, rows):
+        z = gen.standard_normal((rows.stop - rows.start, cov.n_uses))
+        np.matmul(z, factor_t, out=out[rows])
+
+    _fill_substreams(fill, seed, n)
+    return out
 
 
 def sample_phases_trajectory(
@@ -158,22 +195,30 @@ def sample_phases_trajectory(
     half_coupling = 0.5 * params.coupling
 
     out = np.empty((n, params.n_uses))
-    row = 0
-    for gen, size in zip(_stream_generators(seed), _chunk_sizes(n)):
-        if size == 0:
-            continue
+
+    def fill(gen, rows):
+        size = rows.stop - rows.start
+        # draw order per path block: start state, m normals per window, then
+        # one gap normal between windows
+        steps = np.empty((m, size))
         xi = sig * gen.standard_normal(size)
         for k in range(params.n_uses):
-            acc = 0.5 * xi.copy()
-            for _ in range(m - 1):
-                xi = alpha * xi + beta * gen.standard_normal(size)
+            gen.standard_normal(out=steps)
+            # xi' = alpha*xi + beta*z rounds the two products, then their sum
+            steps *= beta
+            acc = 0.5 * xi
+            for t in range(m - 1):
+                xi *= alpha
+                xi += steps[t]
                 acc += xi
-            xi = alpha * xi + beta * gen.standard_normal(size)
+            xi *= alpha
+            xi += steps[m - 1]
             acc += 0.5 * xi
-            out[row : row + size, k] = half_coupling * dt_w * acc
+            out[rows, k] = half_coupling * dt_w * acc
             if gap > 0.0 and k + 1 < params.n_uses:
                 xi = alpha_gap * xi + beta_gap * gen.standard_normal(size)
-        row += size
+
+    _fill_substreams(fill, seed, n)
     return out
 
 

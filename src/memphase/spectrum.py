@@ -51,10 +51,8 @@ __all__ = [
     "OneOverF",
     "PowerSpectrum",
     "spectral_density",
-    "process_variance",
     "autocorrelation",
     "kernel_integral",
-    "white_kernel_closed_form",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -187,12 +185,6 @@ def spectral_density(spec: PowerSpectrum, omega: float) -> float:
     return spec.density(omega)
 
 
-def process_variance(spec: PowerSpectrum) -> float:
-    """C(0) = int_0^inf S(w) dw / pi.  Finite for Lorentzian and OneOverF;
-    white noise raises ``WhiteNoiseUndefined``."""
-    return spec.autocorrelation(0.0)
-
-
 def autocorrelation(spec: PowerSpectrum, tau: float) -> float:
     """Pointwise autocorrelation C(tau) of the drive.
 
@@ -220,11 +212,3 @@ def kernel_integral(spec: PowerSpectrum, tau_p: float, delta: float) -> float:
     if not tau_p > 0.0:
         raise DomainError(f"tau_p must be positive, got {tau_p}")
     return spec.kernel(tau_p, abs(delta))
-
-
-def white_kernel_closed_form(level: float, tau_p: float, delta: float) -> float:
-    """Exact white-noise kernel: (S0/8) * (|tp+d| + |tp-d| - 2|d|).
-
-    Equals (S0/4) * max(tau_p - |delta|, 0); zero for |delta| >= tau_p.
-    """
-    return kernel_integral(White(level), tau_p, delta)

@@ -174,7 +174,7 @@ class TestDecayFactor:
 class TestApplyChannel:
     def test_maximally_mixed_unchanged(self):
         cov = PhaseCovariance.from_damping(0.5, [1.0, 0.4])
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix(np.eye(4) / 4)
         out = apply_channel(rho, cov, (0, 1))
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-15)
 
@@ -250,7 +250,7 @@ class TestApplyChannel:
         assert out.matrix[0, 2] == rho.matrix[0, 2]
 
     def test_position_errors(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix(np.eye(4) / 4)
         cov = PhaseCovariance.from_damping(0.9, [1.0])
         with pytest.raises(PositionOutOfRange):
             apply_channel(rho, cov, (2,))

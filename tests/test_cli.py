@@ -280,9 +280,10 @@ class TestMainEntry:
             ("validate", "coupling = 1e200\n"),
             ("decay", "tau_p = 1e-300\ntau = 1\n"),
             ("validate", "tau_p = 1e-300\ntau = 1\n"),
+            ("validate", "coupling = 0\n"),
         ],
         ids=["decay-g-underflow", "decay-eta-overflow", "validate-eta-overflow",
-             "decay-kernel-underflow", "validate-kernel-underflow"],
+             "decay-kernel-underflow", "validate-kernel-underflow", "validate-noiseless"],
     )
     def test_covariance_out_of_range_exit_code(self, tmp_path, capsys, command, config_text):
         code = main([command, "--config", write_config(tmp_path, config_text)])

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import random_feasible_point
 from memphase.codes import (
-    CodePoint,
     fe_single,
     fe_tqc_approx,
     fe_tqc_general,
@@ -214,11 +213,3 @@ class TestCircuitEquivalence:
     def test_requires_three_uses(self):
         with pytest.raises(DimensionMismatch):
             fe_tqc_via_circuit(PhaseCovariance.from_damping(0.9, [1.0, 0.5]))
-
-
-class TestCodePoint:
-    def test_epsilon_and_feasibility(self):
-        point = CodePoint(g=0.998, mu1=0.5, mu2=0.25)
-        assert point.epsilon == pytest.approx(1e-3)
-        assert point.feasible
-        assert not CodePoint(g=0.998, mu1=0.5, mu2=0.6).feasible

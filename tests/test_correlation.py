@@ -81,6 +81,14 @@ class TestPhaseCovariance:
         with pytest.raises(DomainError):
             PhaseCovariance(eta_sq=eta_sq, mu=np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("lag", [0, 1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_mu(self, lag, value):
+        mu = np.array([1.0, 0.5])
+        mu[lag] = value
+        with pytest.raises(DomainError):
+            PhaseCovariance(eta_sq=1.0, mu=mu)
+
     def test_rejects_damping_outside_unit_interval(self):
         with pytest.raises(DomainError):
             PhaseCovariance.from_damping(0.0, [1.0])
@@ -189,6 +197,13 @@ class TestTimeDomainRoute:
         shifted = covariance_from_autocorrelation(spec, params, window_start=17.3)
         assert shifted.eta_sq == pytest.approx(base.eta_sq, rel=1e-8)
         np.testing.assert_allclose(shifted.mu, base.mu, atol=1e-8)
+
+    @pytest.mark.parametrize("coupling", [0.0, 1e200])
+    def test_rejects_variance_that_is_zero_or_overflows(self, coupling):
+        # lambda = 0 gives entries[0] = 0, and the correlations would be 0/0
+        params = ChannelParams(coupling, 1.0, 1.5, 3)
+        with pytest.raises(DomainError, match="not positive and finite"):
+            covariance_from_autocorrelation(Lorentzian(1.0, 1.0), params)
 
     def test_short_window_taylor_limit(self):
         # eta^2 -> (lambda^2/4) C(0) tau_p^2 as tau_p -> 0

@@ -1,5 +1,6 @@
 """Stochastic oracle: sampling routes and Monte Carlo estimators."""
 
+import math
 import os
 import subprocess
 import sys
@@ -21,10 +22,15 @@ from memphase.codes import fe_tqc_memory
 from memphase.correlation import ChannelParams, PhaseCovariance, covariance_from_spectrum
 import memphase
 from memphase.errors import DimensionMismatch, EmptyEnsemble, StepTooCoarse
+import memphase.montecarlo as montecarlo
 from memphase.montecarlo import (
+    _chunk_sizes,
+    _covariance_factor,
+    _fill_substreams,
     _fold_weights,
     _pipeline_weights,
     _standard_error,
+    _stream_generators,
     _tqc_weights,
     mc_decay_factor,
     mc_tqc_fidelity,
@@ -32,6 +38,113 @@ from memphase.montecarlo import (
     sample_phases_trajectory,
 )
 from memphase.spectrum import Lorentzian, White
+
+
+def serial_direct(cov, seed, n):
+    """The serial direct sampler the substream pool replaced, kept as a reference."""
+    factor = _covariance_factor(cov)
+    chunks = []
+    for gen, size in zip(_stream_generators(seed), _chunk_sizes(n)):
+        z = gen.standard_normal((size, cov.n_uses))
+        chunks.append(z @ factor.T)
+    return np.vstack(chunks)
+
+
+def serial_trajectory(spec, params, seed, n, dt):
+    """The serial trajectory sampler the substream pool replaced, kept as a reference."""
+    m = math.ceil(params.tau_p / dt)
+    dt_w = params.tau_p / m
+    gamma, sig = spec.rate, math.sqrt(spec.variance)
+    alpha = math.exp(-gamma * dt_w)
+    beta = sig * math.sqrt(1.0 - alpha * alpha)
+    gap = params.tau - params.tau_p
+    alpha_gap = math.exp(-gamma * gap)
+    beta_gap = sig * math.sqrt(1.0 - alpha_gap * alpha_gap)
+    half_coupling = 0.5 * params.coupling
+
+    out = np.empty((n, params.n_uses))
+    row = 0
+    for gen, size in zip(_stream_generators(seed), _chunk_sizes(n)):
+        if size == 0:
+            continue
+        xi = sig * gen.standard_normal(size)
+        for k in range(params.n_uses):
+            acc = 0.5 * xi.copy()
+            for _ in range(m - 1):
+                xi = alpha * xi + beta * gen.standard_normal(size)
+                acc += xi
+            xi = alpha * xi + beta * gen.standard_normal(size)
+            acc += 0.5 * xi
+            out[row : row + size, k] = half_coupling * dt_w * acc
+            if gap > 0.0 and k + 1 < params.n_uses:
+                xi = alpha_gap * xi + beta_gap * gen.standard_normal(size)
+        row += size
+    return out
+
+
+@pytest.fixture(params=[1, 4], ids=["1-thread", "4-threads"])
+def threads(request, monkeypatch):
+    """Run the substream pool as if the process could use this many CPUs."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+# fewer rows than substreams, a remainder, and a large ensemble
+IDENTITY_SIZES = [1, 7, 20, 1001, 20_000]
+
+
+class TestSubstreamPool:
+    @pytest.mark.parametrize("tau", [1.0, 1.5], ids=["no-gap", "gap"])
+    @pytest.mark.parametrize("n_uses", [1, 3, 4])
+    @pytest.mark.parametrize("n", IDENTITY_SIZES)
+    def test_direct_matches_serial_reference(self, threads, n, n_uses, tau):
+        cov = covariance_from_spectrum(Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, tau, n_uses))
+        assert np.array_equal(sample_phases_direct(cov, 61, n), serial_direct(cov, 61, n))
+
+    @pytest.mark.parametrize("tau", [1.0, 1.5], ids=["no-gap", "gap"])
+    @pytest.mark.parametrize("n_uses", [1, 3, 4])
+    @pytest.mark.parametrize("n", IDENTITY_SIZES)
+    def test_trajectory_matches_serial_reference(self, threads, n, n_uses, tau):
+        spec = Lorentzian(1.0, 1.0)
+        params = ChannelParams(1.0, 1.0, tau, n_uses)
+        got = sample_phases_trajectory(spec, params, 67, n, 1.0 / 50)
+        assert np.array_equal(got, serial_trajectory(spec, params, 67, n, 1.0 / 50))
+
+    def test_identity_with_more_threads_than_cpus_and_frequent_switches(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        spec = Lorentzian(1.0, 1.0)
+        params = ChannelParams(1.0, 1.0, 1.5, 3)
+        cov = covariance_from_spectrum(spec, params)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            direct = sample_phases_direct(cov, 71, 5003)
+            paths = sample_phases_trajectory(spec, params, 73, 5003, 1.0 / 50)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(direct, serial_direct(cov, 71, 5003))
+        assert np.array_equal(paths, serial_trajectory(spec, params, 73, 5003, 1.0 / 50))
+
+    def test_empty_ensemble_has_its_shape(self, threads):
+        cov = PhaseCovariance.from_damping(0.8, [1.0, 0.3, 0.1])
+        assert sample_phases_direct(cov, 1, 0).shape == (0, 3)
+        params = ChannelParams(1.0, 1.0, 1.5, 3)
+        assert sample_phases_trajectory(Lorentzian(1.0, 1.0), params, 1, 0, 1e-2).shape == (0, 3)
+
+    def test_pool_hands_each_substream_its_rows(self, threads):
+        seen = []
+        _fill_substreams(lambda gen, rows: seen.append(rows), 5, 7)
+        # seven rows: seven substreams with one row each, in order
+        assert sorted(r.start for r in seen) == list(range(7))
+        assert all(r.stop == r.start + 1 for r in seen)
+
+    def test_worker_error_reaches_the_caller(self, threads):
+        def fill(gen, rows):
+            if rows.start > 0:
+                raise FloatingPointError(f"rows {rows.start}:{rows.stop}")
+
+        with pytest.raises(FloatingPointError):
+            _fill_substreams(fill, 5, 100)
 
 
 class TestDirectSampling:

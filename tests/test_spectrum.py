@@ -13,9 +13,7 @@ from memphase.spectrum import (
     White,
     autocorrelation,
     kernel_integral,
-    process_variance,
     spectral_density,
-    white_kernel_closed_form,
 )
 
 
@@ -90,7 +88,8 @@ class TestAutocorrelation:
 
     def test_one_over_f_at_zero_is_variance(self):
         spec = OneOverF(1.0, 0.1, 10.0)
-        assert autocorrelation(spec, 0.0) == pytest.approx(process_variance(spec))
+        # C(0) = (1/pi) int S(w) dw = (A/pi) ln(omega_max/omega_min)
+        assert autocorrelation(spec, 0.0) == pytest.approx(math.log(100.0) / math.pi)
 
     def test_even_in_tau(self):
         spec = OneOverF(1.0, 0.1, 10.0)
@@ -98,7 +97,7 @@ class TestAutocorrelation:
 
     def test_white_variance_undefined(self):
         with pytest.raises(WhiteNoiseUndefined):
-            process_variance(White(1.0))
+            autocorrelation(White(1.0), 0.0)
 
 
 class TestKernelIntegral:
@@ -109,7 +108,8 @@ class TestKernelIntegral:
     @pytest.mark.parametrize("delta", [0.0, 0.3, 0.65, 1.2, 1.3, 2.0, 5.2])
     def test_white_closed_form(self, delta):
         val = kernel_integral(White(0.7), 1.3, delta)
-        ref = white_kernel_closed_form(0.7, 1.3, delta)
+        # (S0/8) * (|tp + d| + |tp - d| - 2|d|)
+        ref = 0.7 / 8.0 * (abs(1.3 + delta) + abs(1.3 - delta) - 2.0 * abs(delta))
         assert abs(val - ref) <= 1e-8
 
     def test_white_vanishes_beyond_window(self):
