@@ -159,6 +159,19 @@ def decay_exponent(label: CoherenceLabel, cov: PhaseCovariance) -> float:
     return float(s @ cov.mu_matrix @ s)
 
 
+def _decay_factor_and_exponent(
+    label: CoherenceLabel, cov: PhaseCovariance
+) -> tuple[float, float]:
+    """(D_jl, E) with E = ``decay_exponent``; see ``decay_factor``."""
+    exponent = decay_exponent(label, cov)
+    s = label.s.astype(float)
+    d_power = cov.g**exponent
+    d_exp = np.exp(-2.0 * float(s @ cov.sigma @ s))
+    if not abs(d_power - d_exp) <= 1e-12:
+        raise ArithmeticError(f"decay-factor forms disagree: {d_power!r} vs {d_exp!r}")
+    return d_power, exponent
+
+
 def decay_factor(label: CoherenceLabel, cov: PhaseCovariance) -> float:
     """Coherence decay factor D_jl in (0, 1] for one transmission round.
 
@@ -166,13 +179,7 @@ def decay_factor(label: CoherenceLabel, cov: PhaseCovariance) -> float:
     cross-checks it against the covariance-exponential form
     exp(-2 s^T Sigma s).
     """
-    exponent = decay_exponent(label, cov)
-    s = label.s.astype(float)
-    d_power = cov.g**exponent
-    d_exp = np.exp(-2.0 * float(s @ cov.sigma @ s))
-    if not abs(d_power - d_exp) <= 1e-12:
-        raise ArithmeticError(f"decay-factor forms disagree: {d_power!r} vs {d_exp!r}")
-    return d_power
+    return _decay_factor_and_exponent(label, cov)[0]
 
 
 def _decay_matrix(dim: int, n_qubits: int, cov: PhaseCovariance, which) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .channel import CoherenceLabel, decay_exponent, decay_factor
+from .channel import CoherenceLabel, _decay_factor_and_exponent, decay_factor
 from .codes import fe_tqc_memory, fe_tqc_via_circuit, pe_tqc_memory, pe_two_qubit
 from .correlation import (
     ChannelParams,
@@ -191,8 +191,7 @@ def cmd_decay(config: RunConfig) -> str:
     lines.append("")
     lines.append("j,l,exponent,decay")
     for label in _parse_labels(config):
-        d = decay_factor(label, cov)
-        exponent = decay_exponent(label, cov)
+        d, exponent = _decay_factor_and_exponent(label, cov)
         j_bits = format(label.j, f"0{config.n_uses}b")
         l_bits = format(label.l, f"0{config.n_uses}b")
         lines.append(f"{j_bits},{l_bits},{exponent:.12e},{d:.12e}")

@@ -109,10 +109,12 @@ def pe_two_qubit(g: float, mu1: float) -> float:
 
     The logical coherence carries weights (+1, -1), so it decays by
     g^(2 - 2 mu1) and the error probability is (1 - g^(2 - 2 mu1))/2;
-    decoherence-free at mu1 = 1.
+    decoherence-free at mu1 = 1.  Evaluated as -expm1((2 - 2 mu1) ln g)/2,
+    which keeps full relative precision when g^(2 - 2 mu1) is close to 1.
     """
     _check_g(g)
-    return 0.5 * (1.0 - g ** (2.0 * (1.0 - mu1)))
+    # + 0.0 turns the -0.0 of g = 1 into 0.0
+    return -0.5 * math.expm1(2.0 * (1.0 - mu1) * math.log(g)) + 0.0
 
 
 def mu2_opt(g: float, mu1: float) -> float:

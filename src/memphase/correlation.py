@@ -9,7 +9,8 @@ zero-mean Gaussian with a Toeplitz covariance
 Two independent construction routes are provided: the spectral kernel
 integral and a direct 2-D time-domain quadrature of the autocorrelation
 over the transit windows.  They must agree; the second exists purely as a
-cross-check of the first.
+cross-check of the first, and loads ``scipy.integrate`` on its first call,
+so importing this module needs no scipy beyond ``scipy.special``.
 
 The scalar eta^2 fixes the single-use damping g = exp(-2*eta^2) and the
 single-use error probability epsilon = (1 - g)/2.
@@ -21,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import toeplitz
 
 from .errors import DomainError, NotPositiveSemidefinite, WhiteNoiseUndefined
 from .spectrum import PowerSpectrum, White, autocorrelation, kernel_integral
@@ -100,7 +99,8 @@ class PhaseCovariance:
             raise DomainError(f"|mu_m| <= 1 violated: {mu}")
         mu = np.clip(mu, -1.0, 1.0)
         mu.flags.writeable = False
-        t = toeplitz(mu)
+        lags = np.arange(mu.size)
+        t = mu[np.abs(lags[:, None] - lags[None, :])]
         t.flags.writeable = False
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "mu_matrix", t)
@@ -165,6 +165,9 @@ def _window_overlap_integral(
     s_hi: float,
 ) -> float:
     """int_{s_lo}^{s_hi} dt2 int_{t_lo}^{t_hi} dt1 C(t1 - t2), kink-aware."""
+    # imported on first use: scipy.integrate also loads scipy.optimize and
+    # scipy.sparse, and nothing but this cross-check route needs it
+    from scipy.integrate import quad
 
     def inner(t2: float) -> float:
         pts = [t2] if t_lo < t2 < t_hi else None

@@ -160,7 +160,8 @@ class TestFig2Command:
         last = data_rows(text)[-1].split(",")
         assert float(last[0]) == 1.0
         assert float(last[3]) == pytest.approx(9e-6, rel=0.05)
-        assert float(last[4]) == 0.0  # two-qubit code decoherence-free
+        # two-qubit code decoherence-free, printed as 0 and not -0
+        assert last[4] == "0.000000000000e+00"
 
     def test_grid_ends_at_one_when_step_does_not_divide(self):
         mu1 = [row.split(",")[0] for row in data_rows(cmd_fig2(RunConfig(mu1_step=0.3)))[1:]]

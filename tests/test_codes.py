@@ -1,7 +1,9 @@
 """Closed-form code fidelities and their cross-checks."""
 
+import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -142,6 +144,16 @@ class TestQuadraticApproximation:
 class TestTwoQubitCode:
     def test_decoherence_free_at_perfect_memory(self):
         assert pe_two_qubit(0.998, 1.0) == 0.0
+
+    def test_unit_damping_is_positive_zero(self):
+        assert math.copysign(1.0, pe_two_qubit(1.0, 0.5)) == 1.0
+
+    def test_full_relative_precision_near_unit_damping(self):
+        g, mu1 = 1 - 2e-5, 0.99
+        with mpmath.workdps(50):
+            exact = -mpmath.expm1(2 * (1 - mpmath.mpf(mu1)) * mpmath.log(mpmath.mpf(g))) / 2
+            rel = abs((mpmath.mpf(pe_two_qubit(g, mu1)) - exact) / exact)
+        assert rel <= 1e-14
 
     def test_memoryless_value(self):
         g = 0.998

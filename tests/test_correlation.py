@@ -68,6 +68,14 @@ class TestPhaseCovariance:
         )
         np.testing.assert_allclose(cov.sigma, expected)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 64])
+    def test_mu_matrix_is_scipy_toeplitz(self, n):
+        mu = 0.7 ** np.arange(n)
+        t = PhaseCovariance(eta_sq=1.0, mu=mu).mu_matrix
+        assert np.array_equal(t, toeplitz(mu))
+        assert t.flags.c_contiguous
+        assert not t.flags.writeable
+
     def test_rejects_non_unit_leading_mu(self):
         with pytest.raises(DomainError):
             PhaseCovariance(eta_sq=1.0, mu=np.array([0.9, 0.5]))
