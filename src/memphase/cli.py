@@ -12,6 +12,12 @@ Configuration is a plain ``key = value`` text file ('#' starts a comment);
 ``--seed`` and ``--out`` override it.  Outputs are CSV with '#'-prefixed
 metadata lines (version, config hash, seed) and are byte-identical for a
 fixed config and seed.
+
+The ``fig2`` / ``fig3`` columns are Python scalar arithmetic (``**`` and
+``math``, which call the C library's libm), one row at a time, not numpy
+ufuncs over the grid: numpy's SIMD ``power``, ``log`` and ``expm1`` differ
+from libm in the last bit on some inputs, and an error probability 1 - F
+printed to 13 digits shows a last-bit change in F.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .channel import CoherenceLabel, _decay_factor_and_exponent, decay_factor
-from .codes import fe_tqc_memory, fe_tqc_via_circuit, pe_tqc_memory, pe_two_qubit
+from .codes import _check_g, _fe_tqc, fe_tqc_memory, fe_tqc_via_circuit, pe_two_qubit
 from .correlation import (
     ChannelParams,
     PhaseCovariance,
@@ -208,25 +214,31 @@ def cmd_fig2(config: RunConfig) -> str:
             f"field 'mu1_step': must be in (0, 1], got {config.mu1_step}"
         )
     g = g_from_epsilon(eps)
+    _check_g(g)
     # 0, step, 2 step, ... always ending at mu1 = 1
     steps = 1.0 / config.mu1_step
     whole = abs(steps - round(steps)) <= 1e-9 * steps
     n_points = (round(steps) if whole else math.floor(steps)) + 1
-    mu1_grid = [i * config.mu1_step for i in range(n_points)] + ([] if whole else [1.0])
+    mu1_grid = [i * config.mu1_step for i in range(n_points)]
+    if not whole:
+        # a last point that prints as 1.000000 would duplicate the mu1 = 1 row
+        if 1.0 - mu1_grid[-1] < 5e-7:
+            mu1_grid.pop()
+        mu1_grid.append(1.0)
+    # Pe_single and Pe_tqc_memoryless do not depend on mu1
+    constant = f"{eps:.12e},{1.0 - _fe_tqc(g, 0.0, 0.0):.12e}"
 
     def row(mu1: float) -> str:
         mu1 = min(mu1, 1.0)
         mu2_lower = max(0.0, 2.0 * mu1 * mu1 - 1.0)
-        pe_lower = pe_tqc_memory(g, mu1, mu2_lower)
-        pe_upper = pe_tqc_memory(g, mu1, mu1)
+        pe_lower = 1.0 - _fe_tqc(g, mu1, mu2_lower)
+        pe_upper = 1.0 - _fe_tqc(g, mu1, mu1)
         pe_2q = pe_two_qubit(g, mu1)
-        pe_memoryless = pe_tqc_memory(g, 0.0, 0.0)
         feas_lo = check_mu_feasible(mu1, mu2_lower).feasible
         feas_hi = check_mu_feasible(mu1, mu1).feasible
         return (
             f"{mu1:.6f},{mu2_lower:.12e},{pe_lower:.12e},{pe_upper:.12e},"
-            f"{pe_2q:.12e},{eps:.12e},{pe_memoryless:.12e},"
-            f"{int(feas_lo)},{int(feas_hi)}"
+            f"{pe_2q:.12e},{constant},{int(feas_lo)},{int(feas_hi)}"
         )
 
     lines = _metadata(config, "fig2")
@@ -249,22 +261,26 @@ def cmd_fig3(config: RunConfig) -> str:
     if config.eps_points < 2:
         raise ConfigError(f"field 'eps_points': need >= 2, got {config.eps_points}")
     grid = np.geomspace(config.eps_min, config.eps_max, config.eps_points)
+    # the printed pairs (0, 0) and (1, 1) do not depend on epsilon
+    feasible = (
+        f"{int(check_mu_feasible(0.0, 0.0).feasible)},"
+        f"{int(check_mu_feasible(1.0, 1.0).feasible)}"
+    )
 
     def row(eps: float) -> str:
         g = g_from_epsilon(eps)
-        pe_memoryless = pe_tqc_memory(g, 0.0, 0.0)
-        pe_worst = pe_tqc_memory(g, 1.0, 1.0)
+        # pe_two_qubit checks g before the unchecked _fe_tqc calls use it
         pe_2q = pe_two_qubit(g, 0.99)
-        return (
-            f"{eps:.12e},{pe_memoryless:.12e},{pe_worst:.12e},{pe_2q:.12e},1,1"
-        )
+        pe_memoryless = 1.0 - _fe_tqc(g, 0.0, 0.0)
+        pe_worst = 1.0 - _fe_tqc(g, 1.0, 1.0)
+        return f"{eps:.12e},{pe_memoryless:.12e},{pe_worst:.12e},{pe_2q:.12e},{feasible}"
 
     lines = _metadata(config, "fig3")
     lines.append(
         "epsilon,Pe_tqc_memoryless,Pe_tqc_worst,Pe_two_qubit_mu099,"
         "feasible_memoryless,feasible_worst"
     )
-    lines.extend(row(float(eps)) for eps in grid)
+    lines.extend(row(eps) for eps in grid.tolist())
     return "\n".join(lines) + "\n"
 
 

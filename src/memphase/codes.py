@@ -6,6 +6,11 @@ coefficients mu1 (adjacent uses) and mu2 (next-to-adjacent).  For the
 three-qubit phase code transmitted in order Q, A, B the pair correlations
 are mu_QA = mu_AB = mu1 and mu_QB = mu2.
 
+``_fe_tqc`` holds the stationary three-qubit-code formula with no checks:
+``fe_tqc_memory`` calls it after checking its arguments, and the ``fig2`` /
+``fig3`` sweeps call it after checking each distinct value once per sweep,
+so the public function and the sweep columns share one expression.
+
 ``fe_tqc_via_circuit`` re-derives the closed form by running the full
 encode / channel / decode pipeline exactly (no sampling); agreement to
 machine precision is part of the acceptance suite.
@@ -86,6 +91,11 @@ def fe_tqc_memory(g: float, mu1: float, mu2: float) -> float:
             FeasibilityWarning,
             stacklevel=2,
         )
+    return _fe_tqc(g, mu1, mu2)
+
+
+def _fe_tqc(g: float, mu1: float, mu2: float) -> float:
+    """The ``fe_tqc_memory`` formula without the checks on g and (mu1, mu2)."""
     bracket = 2.0 * g ** (-2 * mu2) + g ** (2 * mu2 - 4 * mu1) + g ** (2 * mu2 + 4 * mu1)
     return 0.5 + 0.75 * g - g**3 / 16.0 * bracket
 

@@ -245,7 +245,7 @@ class MuFeasibility:
     """Verdict of the (mu1, mu2) feasibility check.
 
     ``violation`` is None when feasible, else one of "mu1_range",
-    "mu2_below_lower", "mu2_above_upper".
+    "mu2_not_finite", "mu2_below_lower", "mu2_above_upper".
     """
 
     feasible: bool
@@ -269,6 +269,9 @@ def check_mu_feasible(mu1: float, mu2: float) -> MuFeasibility:
     upper = mu1
     if not 0.0 <= mu1 <= 1.0:
         return MuFeasibility(False, lower, upper, "mu1_range")
+    # a NaN mu2 fails neither band comparison below
+    if not math.isfinite(mu2):
+        return MuFeasibility(False, lower, upper, "mu2_not_finite")
     if mu2 < lower:
         return MuFeasibility(False, lower, upper, "mu2_below_lower")
     if mu2 > upper:

@@ -1,5 +1,7 @@
 """Command-line runner: config handling, CSV determinism, subcommand output."""
 
+import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -14,6 +16,8 @@ from memphase.cli import (
     cmd_validate,
     main,
 )
+from memphase.codes import fe_tqc_general, pe_tqc_memory, pe_two_qubit
+from memphase.correlation import check_mu_feasible, g_from_epsilon
 from memphase.errors import ConfigError
 
 
@@ -167,6 +171,14 @@ class TestFig2Command:
         mu1 = [row.split(",")[0] for row in data_rows(cmd_fig2(RunConfig(mu1_step=0.3)))[1:]]
         assert mu1 == ["0.000000", "0.300000", "0.600000", "0.900000", "1.000000"]
 
+    @pytest.mark.parametrize("step", [0.33333333, 0.1428571])
+    def test_single_unit_row_when_last_point_prints_as_one(self, step):
+        # the last multiple of these steps lies within 5e-7 of 1 but misses
+        # the whole-number test, so it printed as a second 1.000000 row
+        mu1 = [row.split(",")[0] for row in data_rows(cmd_fig2(RunConfig(mu1_step=step)))[1:]]
+        assert mu1[-1] == "1.000000"
+        assert len(mu1) == len(set(mu1)) == math.floor(1.0 / step) + 1
+
     def test_all_rows_annotated_feasible(self):
         text = cmd_fig2(RunConfig(mu1_step=0.1))
         for row in data_rows(text)[1:]:
@@ -201,6 +213,96 @@ class TestFig3Command:
     def test_bad_step_diagnostic(self):
         with pytest.raises(ConfigError, match="mu1_step"):
             cmd_fig2(RunConfig(mu1_step=0.0))
+
+
+def reference_pe_tqc(g, mu1, mu2):
+    pe = pe_tqc_memory(g, mu1, mu2)
+    # fe_tqc_general writes the formula out on its own, so a fault in the
+    # formula both sides share shows up here; 2e-15 is about ten ulp of F = 1
+    assert abs(pe - (1.0 - fe_tqc_general(g, mu1, mu2, mu1))) <= 2e-15
+    return pe
+
+
+def reference_fig2_rows(config):
+    """fig2 rows from the public functions, every value computed and checked per row."""
+    eps = config.epsilon
+    g = g_from_epsilon(eps)
+    steps = 1.0 / config.mu1_step
+    whole = abs(steps - round(steps)) <= 1e-9 * steps
+    n_points = (round(steps) if whole else math.floor(steps)) + 1
+    # no last point near 1 to drop: the steps tested here divide 1
+    mu1_grid = [i * config.mu1_step for i in range(n_points)] + ([] if whole else [1.0])
+    rows = []
+    for mu1 in mu1_grid:
+        mu1 = min(mu1, 1.0)
+        mu2_lower = max(0.0, 2.0 * mu1 * mu1 - 1.0)
+        pe_lower = reference_pe_tqc(g, mu1, mu2_lower)
+        pe_upper = reference_pe_tqc(g, mu1, mu1)
+        pe_2q = pe_two_qubit(g, mu1)
+        pe_memoryless = reference_pe_tqc(g, 0.0, 0.0)
+        feas_lo = check_mu_feasible(mu1, mu2_lower).feasible
+        feas_hi = check_mu_feasible(mu1, mu1).feasible
+        rows.append(
+            f"{mu1:.6f},{mu2_lower:.12e},{pe_lower:.12e},{pe_upper:.12e},"
+            f"{pe_2q:.12e},{eps:.12e},{pe_memoryless:.12e},"
+            f"{int(feas_lo)},{int(feas_hi)}"
+        )
+    return rows
+
+
+def reference_fig3_rows(config):
+    """fig3 rows from the public functions, every value computed and checked per row."""
+    rows = []
+    for eps in np.geomspace(config.eps_min, config.eps_max, config.eps_points):
+        eps = float(eps)
+        g = g_from_epsilon(eps)
+        pe_memoryless = reference_pe_tqc(g, 0.0, 0.0)
+        pe_worst = reference_pe_tqc(g, 1.0, 1.0)
+        pe_2q = pe_two_qubit(g, 0.99)
+        feas_0 = check_mu_feasible(0.0, 0.0).feasible
+        feas_1 = check_mu_feasible(1.0, 1.0).feasible
+        rows.append(
+            f"{eps:.12e},{pe_memoryless:.12e},{pe_worst:.12e},{pe_2q:.12e},"
+            f"{int(feas_0)},{int(feas_1)}"
+        )
+    return rows
+
+
+def assert_same_rows(got, want):
+    # row by row: pytest's diff of two 10 000-line strings takes minutes
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        assert got_row == want_row
+
+
+class TestSweepBytes:
+    """The sweeps check each constant once; their rows must not change by a byte."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RunConfig(),
+            RunConfig(mu1_step=1e-4),
+            RunConfig(epsilon=1e-4),
+            RunConfig(epsilon=3.7e-3),
+            RunConfig(epsilon=0.1),
+        ],
+        ids=["default", "step-1e-4", "eps-1e-4", "eps-3.7e-3", "eps-0.1"],
+    )
+    def test_fig2_rows(self, config):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_rows(data_rows(cmd_fig2(config))[1:], reference_fig2_rows(config))
+
+    @pytest.mark.parametrize(
+        "config",
+        [RunConfig(), RunConfig(eps_points=10_000)],
+        ids=["default", "points-10000"],
+    )
+    def test_fig3_rows(self, config):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_rows(data_rows(cmd_fig3(config))[1:], reference_fig3_rows(config))
 
 
 class TestDeterminism:

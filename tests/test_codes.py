@@ -9,6 +9,7 @@ import pytest
 
 from conftest import random_feasible_point
 from memphase.codes import (
+    _fe_tqc,
     fe_single,
     fe_tqc_approx,
     fe_tqc_general,
@@ -72,7 +73,19 @@ class TestStationaryForm:
     def test_infeasible_point_warns_but_evaluates(self):
         with pytest.warns(FeasibilityWarning):
             value = fe_tqc_memory(0.9, 0.9, 0.5)
+        assert value == _fe_tqc(0.9, 0.9, 0.5)
         assert 0.0 < value < 1.0
+
+    def test_nan_mu2_warns(self):
+        with pytest.warns(FeasibilityWarning, match="mu2_not_finite"):
+            value = fe_tqc_memory(0.9, 0.5, math.nan)
+        assert math.isnan(value)
+
+    def test_unchecked_kernel_is_the_public_formula(self, rng):
+        # the fig2/fig3 sweeps call _fe_tqc directly, so it must be bit-identical
+        for _ in range(500):
+            g, mu1, mu2 = random_feasible_point(rng, g_lo=1e-3, g_hi=1.0)
+            assert _fe_tqc(g, mu1, mu2) == fe_tqc_memory(g, mu1, mu2)
 
     def test_feasible_point_does_not_warn(self):
         with warnings.catch_warnings():

@@ -256,6 +256,13 @@ class TestFeasibility:
         assert not verdict.feasible
         assert verdict.violation == "mu2_above_upper"
 
+    @pytest.mark.parametrize("mu2", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu2_rejected(self, mu2):
+        # a NaN mu2 fails neither band comparison, so it needs its own check
+        verdict = check_mu_feasible(0.5, mu2)
+        assert not verdict.feasible
+        assert verdict.violation == "mu2_not_finite"
+
     def test_anticorrelation_rejected(self):
         assert not check_mu_feasible(-0.1, 0.0).feasible
         assert not check_mu_feasible(0.5, -0.1).feasible
