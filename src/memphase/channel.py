@@ -20,10 +20,22 @@ so the cost is one (dim, N) x (N, dim) product, and E_jj = 0 exactly on
 the populations.
 
 Validated density matrices must be finite, Hermitian, of unit trace and
-positive semidefinite down to EIGENVALUE_FLOOR.  Positivity is tested by a
-Cholesky factorization of m - EIGENVALUE_FLOOR * I, which exists exactly
-when every eigenvalue lies above the floor; the eigenvalues themselves are
-computed only when the factorization fails.
+positive semidefinite down to EIGENVALUE_FLOOR.  The checks run in that
+order on every constructed matrix:
+
+1. finiteness of every entry;
+2. Hermiticity: max |m - m^H| <= HERMITICITY_ATOL.  Above HERMITICITY_BLOCK
+   rows the maximum is taken block by block: rows r:r+b from the diagonal
+   on are compared with the conjugate of the matching column block,
+   m[r:, r:r+b].  That reads the transpose one contiguous slab at a time,
+   and since |m_ij - conj(m_ji)| equals |m_ji - conj(m_ij)| exactly, the
+   blocks at and right of the diagonal give the same maximum as the whole
+   matrix;
+3. the trace, to TRACE_ATOL;
+4. positivity, by a Cholesky factorization of m - EIGENVALUE_FLOOR * I,
+   which exists exactly when every eigenvalue lies above the floor.  The
+   shift is applied in place to the diagonal of one copy of m.  The
+   eigenvalues themselves are computed only when the factorization fails.
 
 Register convention: qubit position 0 is the most significant bit of the
 basis index (leftmost factor of the tensor product).
@@ -48,6 +60,7 @@ __all__ = [
 ]
 
 HERMITICITY_ATOL = 1e-12
+HERMITICITY_BLOCK = 64
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
@@ -64,6 +77,18 @@ def _basis_bits(indices, n_qubits: int, positions) -> np.ndarray:
     return bits.astype(np.int64, copy=False)
 
 
+def _hermiticity_defect(m: np.ndarray) -> float:
+    """max |m - m^H|, compared in row blocks above HERMITICITY_BLOCK rows."""
+    dim = m.shape[0]
+    if dim <= HERMITICITY_BLOCK:
+        return np.abs(m - m.conj().T).max()
+    b = HERMITICITY_BLOCK
+    return max(
+        np.abs(m[r : r + b, r:] - m[r:, r : r + b].conj().T).max()
+        for r in range(0, dim, b)
+    )
+
+
 @dataclass(frozen=True)
 class CoherenceLabel:
     """Basis pair (j, l) of an n-qubit register, identifying one coherence."""
@@ -73,6 +98,10 @@ class CoherenceLabel:
     n_qubits: int
 
     def __post_init__(self):
+        if self.n_qubits < 0:
+            raise DimensionMismatch(
+                f"register size must be non-negative, got {self.n_qubits} qubits"
+            )
         dim = 1 << self.n_qubits
         if not (0 <= self.j < dim and 0 <= self.l < dim):
             raise PositionOutOfRange(
@@ -100,7 +129,11 @@ class CoherenceLabel:
 
 
 class DensityMatrix:
-    """Dense 2^n x 2^n density operator with validated invariants."""
+    """Dense 2^n x 2^n density operator with validated invariants.
+
+    Immutable: the matrix is a read-only array and the attribute cannot be
+    rebound, so one validated instance can be shared by every caller.
+    """
 
     __slots__ = ("matrix",)
 
@@ -108,20 +141,22 @@ class DensityMatrix:
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
-        n = m.shape[0].bit_length() - 1
-        if 1 << n != m.shape[0]:
-            raise DimensionMismatch(f"dimension {m.shape[0]} is not a power of two")
+        dim = m.shape[0]
+        if dim == 0 or dim & (dim - 1):
+            raise DimensionMismatch(f"dimension {dim} is not a power of two")
         if validate:
             # NaN compares false against every tolerance below, and what
             # LAPACK does with it is no check
             if not np.isfinite(m).all():
                 raise ValueError("density matrix has non-finite entries")
-            if np.abs(m - m.conj().T).max() > HERMITICITY_ATOL:
+            if _hermiticity_defect(m) > HERMITICITY_ATOL:
                 raise ValueError("density matrix is not Hermitian")
             if abs(m.trace() - 1.0) > TRACE_ATOL:
                 raise ValueError(f"density matrix trace {m.trace():.15f} != 1")
+            shifted = m.copy()
+            shifted.flat[:: dim + 1] -= EIGENVALUE_FLOOR
             try:
-                np.linalg.cholesky(m - EIGENVALUE_FLOOR * np.eye(m.shape[0]))
+                np.linalg.cholesky(shifted)
             except np.linalg.LinAlgError:
                 # the factorization can also break down on rounding right at
                 # the floor; the eigenvalues decide then
@@ -131,7 +166,13 @@ class DensityMatrix:
                         f"density matrix has eigenvalue {w[0]:.3e}"
                     ) from None
         m.flags.writeable = False
-        self.matrix = m
+        object.__setattr__(self, "matrix", m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DensityMatrix is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"DensityMatrix is immutable; cannot delete {name!r}")
 
     @property
     def dim(self) -> int:
@@ -143,8 +184,21 @@ class DensityMatrix:
 
     @classmethod
     def from_state_vector(cls, psi) -> "DensityMatrix":
+        """|v><v| of the normalized vector v = psi / ||psi||.
+
+        The vector is checked (one-dimensional, finite, nonzero norm); the
+        outer product of such a vector is Hermitian, positive and of unit
+        trace by construction, so it is not re-validated.
+        """
         v = np.asarray(psi, dtype=complex)
-        v = v / np.linalg.norm(v)
+        if v.ndim != 1:
+            raise DimensionMismatch(f"state vector must be 1-D, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("state vector has non-finite entries")
+        norm = np.linalg.norm(v)
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"state vector of norm {norm} cannot be normalized")
+        v = v / norm
         return cls(np.outer(v, v.conj()), validate=False)
 
 

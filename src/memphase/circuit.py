@@ -8,6 +8,12 @@ Encoding copies Q onto A and B with CNOTs and rotates all three code qubits
 to the +/- basis with Hadamards, so that dephasing during transmission acts
 like bit flips on the codewords.  Decoding rotates back, uncopies, and
 applies a Toffoli that coherently corrects the single-flip syndromes.
+
+Every gate application builds a validated ``DensityMatrix``.  The encoded
+source ``tqc_encode(prepare_bell_with_ancillas())`` does not depend on the
+channel, so ``_encoded_source`` builds and validates it once and every
+caller (the circuit cross-route in ``codes`` and the Monte Carlo weight
+table) shares that one read-only state.
 """
 
 from __future__ import annotations
@@ -174,6 +180,15 @@ def tqc_encode(state: JointState) -> JointState:
     return state
 
 
+@functools.cache
+def _encoded_source() -> JointState:
+    """``tqc_encode(prepare_bell_with_ancillas())``, built and validated once.
+
+    Every caller shares the returned state; its matrix is read-only.
+    """
+    return tqc_encode(prepare_bell_with_ancillas())
+
+
 def tqc_decode(state: JointState) -> JointState:
     for gate in DECODE_GATES:
         state = apply_gate(state, gate)
@@ -183,13 +198,24 @@ def tqc_decode(state: JointState) -> JointState:
 def partial_trace(matrix: np.ndarray, keep, n_qubits: int) -> np.ndarray:
     """Trace out every qubit not in ``keep`` (positions, ascending output order)."""
     keep = sorted(keep)
+    if len(set(keep)) != len(keep):
+        raise PositionOutOfRange(f"duplicate positions in keep={keep}")
+    for p in keep:
+        if not 0 <= p < n_qubits:
+            raise PositionOutOfRange(f"position {p} outside register of {n_qubits}")
+    dim = 1 << n_qubits
+    if matrix.shape != (dim, dim):
+        raise DimensionMismatch(
+            f"{n_qubits}-qubit partial trace needs a {dim} x {dim} matrix, "
+            f"got {matrix.shape}"
+        )
     traced = [p for p in range(n_qubits) if p not in keep]
     t = matrix.reshape((2,) * (2 * n_qubits))
     for offset, p in enumerate(traced):
         n_now = t.ndim // 2
         t = np.trace(t, axis1=p - offset, axis2=p - offset + n_now)
-    dim = 1 << len(keep)
-    return t.reshape(dim, dim)
+    dim_kept = 1 << len(keep)
+    return t.reshape(dim_kept, dim_kept)
 
 
 def bell_state_rq() -> np.ndarray:

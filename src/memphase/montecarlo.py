@@ -38,10 +38,9 @@ from .channel import CoherenceLabel, _basis_bits
 from .circuit import (
     DECODE_GATES,
     JointState,
+    _encoded_source,
     bell_state_rq,
     gate_unitary,
-    prepare_bell_with_ancillas,
-    tqc_encode,
 )
 from .correlation import PhaseCovariance
 from .errors import (
@@ -273,7 +272,7 @@ _FOLD_TOLERANCE = 1e-12
 
 def _pipeline_weights() -> dict[tuple[int, int, int], float]:
     """The real weights c_s of the 27 vectors s, derived from the gate unitaries."""
-    rho_enc = tqc_encode(prepare_bell_with_ancillas()).rho.matrix
+    rho_enc = _encoded_source().rho.matrix
     u_dec = np.eye(16, dtype=complex)
     for gate in DECODE_GATES:
         u_dec = gate_unitary(gate, 4) @ u_dec

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_feasible_covariance
 from memphase.channel import (
+    HERMITICITY_BLOCK,
     CoherenceLabel,
     DensityMatrix,
+    _hermiticity_defect,
     apply_channel,
     decay_exponent,
     decay_factor,
@@ -80,6 +83,10 @@ class TestCoherenceLabel:
     def test_out_of_range_index(self):
         with pytest.raises(PositionOutOfRange):
             CoherenceLabel(4, 0, 2)
+
+    def test_negative_register_size(self):
+        with pytest.raises(DimensionMismatch, match="non-negative"):
+            CoherenceLabel(0, 1, -1)
 
 
 class TestDecayFactor:
@@ -307,7 +314,7 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix(m)
 
-    @pytest.mark.parametrize("n_qubits", [2, 6])
+    @pytest.mark.parametrize("n_qubits", [2, 6, 8])
     def test_positivity_boundary(self, rng, n_qubits):
         dim = 1 << n_qubits
         q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
@@ -337,7 +344,63 @@ class TestDensityMatrix:
         with pytest.raises(DimensionMismatch):
             DensityMatrix(np.eye(3, dtype=complex) / 3)
 
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(DimensionMismatch, match="dimension 0"):
+            DensityMatrix(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("dim", [128, 512])
+    @pytest.mark.parametrize(
+        "position", ["top-right", "bottom-left", "above-boundary", "below-boundary"]
+    )
+    @pytest.mark.parametrize("direction", [1.0, 1j])
+    def test_hermiticity_defect_anywhere_is_caught(self, rng, dim, position, direction):
+        i, j = {
+            "top-right": (0, dim - 1),
+            "bottom-left": (dim - 1, 0),
+            "above-boundary": (HERMITICITY_BLOCK - 1, HERMITICITY_BLOCK),
+            "below-boundary": (HERMITICITY_BLOCK, HERMITICITY_BLOCK - 1),
+        }[position]
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        base = a @ a.conj().T
+        base = (base + base.conj().T) / (2 * base.trace().real)
+
+        def with_defect(size):
+            m = base.copy()
+            m[i, j] += size * direction
+            return m
+
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(with_defect(2e-12))
+        DensityMatrix(with_defect(5e-13))
+
     def test_from_state_vector_normalizes(self):
         rho = DensityMatrix.from_state_vector([2.0, 0.0])
         assert rho.matrix[0, 0] == pytest.approx(1.0)
         assert rho.n_qubits == 1
+
+    @pytest.mark.parametrize(
+        "psi",
+        [[0.0, 0.0], [1.0, np.nan], [np.inf, 0.0], [1.0, complex(0.0, np.nan)]],
+        ids=["zero", "nan", "inf", "nan-imaginary"],
+    )
+    def test_from_state_vector_rejects_unnormalizable(self, psi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="state vector"):
+                DensityMatrix.from_state_vector(psi)
+
+    def test_from_state_vector_rejects_matrix_input(self):
+        with pytest.raises(DimensionMismatch, match="1-D"):
+            DensityMatrix.from_state_vector(np.eye(2) / np.sqrt(2))
+
+
+class TestHermiticityDefect:
+    @pytest.mark.parametrize("dim", [1 << k for k in range(1, 11)] + [65, 100, 127, 200])
+    def test_blocked_maximum_is_the_whole_matrix_maximum(self, rng, dim):
+        general = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        hermitian = (general + general.conj().T) / 2
+        near = hermitian + 1e-13 * (
+            rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        )
+        for m in (general, hermitian, near):
+            assert _hermiticity_defect(m) == np.abs(m - m.conj().T).max()

@@ -6,6 +6,7 @@ import pytest
 from memphase.channel import DensityMatrix, apply_channel
 from memphase.circuit import (
     JointState,
+    _encoded_source,
     apply_gate,
     apply_pauli_z,
     cnot,
@@ -20,7 +21,7 @@ from memphase.circuit import (
 )
 from memphase.codes import fe_tqc_memory
 from memphase.correlation import PhaseCovariance
-from memphase.errors import PositionOutOfRange
+from memphase.errors import DimensionMismatch, PositionOutOfRange
 
 
 def code_space_state(rng) -> JointState:
@@ -140,6 +141,31 @@ class TestPipeline:
         fid = entanglement_fidelity(tqc_decode(JointState(rho)))
         assert fid == pytest.approx(fe_tqc_memory(g, 0.0, 0.0), abs=1e-12)
         assert fid == pytest.approx(0.5 + 0.75 * g - 0.25 * g**3, abs=1e-12)
+
+
+class TestEncodedSource:
+    def test_one_read_only_state_equal_to_a_fresh_encode(self):
+        shared = _encoded_source()
+        assert _encoded_source() is shared
+        assert not shared.rho.matrix.flags.writeable
+        fresh = tqc_encode(prepare_bell_with_ancillas()).rho.matrix
+        np.testing.assert_array_equal(shared.rho.matrix, fresh)
+        with pytest.raises(AttributeError):
+            shared.rho.matrix = np.eye(16, dtype=complex) / 16
+        with pytest.raises(AttributeError):
+            del shared.rho.matrix
+        assert shared.rho.matrix is _encoded_source().rho.matrix
+
+
+class TestPartialTrace:
+    @pytest.mark.parametrize("keep", [(0, 0), (1, 4), (-1, 0)])
+    def test_bad_keep_positions(self, keep):
+        with pytest.raises(PositionOutOfRange):
+            partial_trace(np.eye(16) / 16, keep, 4)
+
+    def test_matrix_of_another_register(self):
+        with pytest.raises(DimensionMismatch, match="16 x 16"):
+            partial_trace(np.eye(8) / 8, (0, 1), 4)
 
 
 class TestEntanglementFidelity:

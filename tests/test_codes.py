@@ -8,6 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import random_feasible_point
+from memphase.channel import apply_channel
+from memphase.circuit import (
+    JointState,
+    entanglement_fidelity,
+    prepare_bell_with_ancillas,
+    tqc_decode,
+    tqc_encode,
+)
 from memphase.codes import (
     _fe_tqc,
     fe_single,
@@ -223,6 +231,28 @@ class TestCircuitEquivalence:
             assert fe_tqc_via_circuit(cov) == pytest.approx(
                 fe_tqc_memory(g, mu1, mu2), abs=1e-12
             )
+
+    def test_equals_a_pipeline_that_encodes_on_every_call(self, rng):
+        def per_call_pipeline(cov):
+            state = tqc_encode(prepare_bell_with_ancillas())
+            rho = apply_channel(
+                state.rho, cov, (JointState.Q, JointState.A, JointState.B)
+            )
+            return entanglement_fidelity(tqc_decode(JointState(rho)))
+
+        # 160 interior points, then mu2 at both band edges: 24 fixed (g, mu1)
+        # with g up to 1, and 20 random ones
+        points = [random_feasible_point(rng) for _ in range(160)]
+        edge_pairs = [
+            (g, mu1)
+            for g in (1.0, 1.0 - 1e-12, 1.0 - 1e-9, 1.0 - 1e-6, 0.9999, 0.02)
+            for mu1 in (0.0, 0.3, 0.9, 1.0)
+        ] + [random_feasible_point(rng)[:2] for _ in range(20)]
+        for g, mu1 in edge_pairs:
+            points += [(g, mu1, max(0.0, 2.0 * mu1 * mu1 - 1.0)), (g, mu1, mu1)]
+        for g, mu1, mu2 in points:
+            cov = PhaseCovariance.from_damping(g, [1.0, mu1, mu2])
+            assert fe_tqc_via_circuit(cov) == per_call_pipeline(cov)
 
     def test_memoryless_bracket(self):
         g = 0.85
