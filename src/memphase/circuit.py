@@ -12,8 +12,9 @@ applies a Toffoli that coherently corrects the single-flip syndromes.
 Every gate application builds a validated ``DensityMatrix``.  The encoded
 source ``tqc_encode(prepare_bell_with_ancillas())`` does not depend on the
 channel, so ``_encoded_source`` builds and validates it once and every
-caller (the circuit cross-route in ``codes`` and the Monte Carlo weight
-table) shares that one read-only state.
+caller shares that one read-only state: the circuit cross-route in
+``codes`` and ``_code_weights``, the code's fidelity polynomial as a
+(3, 3, 3) weight table that the Monte Carlo estimator folds.
 """
 
 from __future__ import annotations
@@ -173,6 +174,9 @@ DECODE_GATES = (
     toffoli(JointState.A, JointState.B, JointState.Q),
 )
 
+# order in which the code qubits cross the channel
+CODE_ORDER = (JointState.Q, JointState.A, JointState.B)
+
 
 def tqc_encode(state: JointState) -> JointState:
     for gate in ENCODE_GATES:
@@ -234,3 +238,46 @@ def entanglement_fidelity(state: JointState) -> float:
     rho_rq = partial_trace(state.rho.matrix, (JointState.R, JointState.Q), 4)
     value = np.real_if_close(psi.conj() @ rho_rq @ psi, tol=1000)
     return float(np.real(value))
+
+
+# For one phase realization the channel is the diagonal unitary
+# U = (x)_k exp(-i sigma_z phi_k) on the code qubits, so the realized
+# fidelity is
+#
+#   F(phi) = sum_{j,l} rho_enc[j,l] * exp(2i s(j,l).phi) * K[l,j],
+#   K = U_dec^dag (|bell><bell|_RQ (x) 1_AB) U_dec,
+#
+# with s(j,l) = bits(l) - bits(j) over CODE_ORDER: a fixed trigonometric
+# polynomial in phi whose coefficients c_s are grouped by the 27 weight
+# vectors s in {-1,0,1}^3.  Every gate and the encoded state are real, so
+# the c_s are real and F = sum_s c_s cos(2 s.phi).  Averaging F over
+# realizations equals the fidelity of the averaged state (linearity).
+
+
+@functools.cache
+def _code_weights() -> np.ndarray:
+    """The real weights c_s of the code's fidelity polynomial, from the gate unitaries.
+
+    A (3, 3, 3) array indexed by s + 1 over CODE_ORDER; c_s is summed in
+    (j, l) order.  Every caller shares the returned read-only array.
+    """
+    rho_enc = _encoded_source().rho.matrix
+    u_dec = np.eye(16, dtype=complex)
+    for gate in DECODE_GATES:
+        u_dec = gate_unitary(gate, 4) @ u_dec
+    psi = bell_state_rq()
+    projector = np.kron(np.outer(psi, psi.conj()), np.eye(4, dtype=complex))
+    k_mat = u_dec.conj().T @ projector @ u_dec
+
+    bits = _basis_bits(np.arange(16), 4, CODE_ORDER)
+    index = (bits[None, :, :] - bits[:, None, :] + 1).reshape(256, 3)
+    coeffs = np.zeros((3, 3, 3), dtype=complex)
+    np.add.at(coeffs, tuple(index.T), (rho_enc * k_mat.T).ravel())
+    if np.any(coeffs.imag != 0.0):
+        raise ArithmeticError(f"pipeline weights are not real: {coeffs!r}")
+    weights = coeffs.real.copy()
+    total = weights.sum()
+    if not abs(total - 1.0) < 1e-12:
+        raise ArithmeticError(f"noiseless pipeline fidelity is {total!r}, not 1")
+    weights.flags.writeable = False
+    return weights

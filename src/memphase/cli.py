@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .channel import CoherenceLabel, _decay_factor_and_exponent, decay_factor
-from .codes import _check_g, _fe_tqc, fe_tqc_memory, fe_tqc_via_circuit, pe_two_qubit
+from .codes import _fe_tqc, fe_tqc_memory, fe_tqc_via_circuit, pe_two_qubit
 from .correlation import (
     ChannelParams,
     PhaseCovariance,
@@ -214,7 +214,6 @@ def cmd_fig2(config: RunConfig) -> str:
             f"field 'mu1_step': must be in (0, 1], got {config.mu1_step}"
         )
     g = g_from_epsilon(eps)
-    _check_g(g)
     # 0, step, 2 step, ... always ending at mu1 = 1
     steps = 1.0 / config.mu1_step
     whole = abs(steps - round(steps)) <= 1e-9 * steps

@@ -16,7 +16,8 @@ encode / channel / decode pipeline exactly (no sampling); agreement to
 machine precision is part of the acceptance suite.  The encoded source does
 not depend on the channel: it is built and validated once
 (``circuit._encoded_source``) and shared read-only, so each call validates
-the channel output and the six decode steps.
+the channel output and the six decode steps.  The Monte Carlo route checks
+the same pipeline through its weight table (``circuit._code_weights``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ import math
 import warnings
 
 from .channel import apply_channel
-from .circuit import JointState, _encoded_source, entanglement_fidelity, tqc_decode
+from .circuit import (
+    CODE_ORDER,
+    JointState,
+    _encoded_source,
+    entanglement_fidelity,
+    tqc_decode,
+)
 from .correlation import PhaseCovariance, check_mu_feasible
 from .errors import DimensionMismatch, DomainError, FeasibilityWarning
 
@@ -154,16 +161,15 @@ def fe_tqc_via_circuit(cov: PhaseCovariance) -> float:
 
     Starts from the encoded purified source, which is built and validated
     once and shared read-only (``circuit._encoded_source``), sends (Q, A, B)
-    through the channel in that order, decodes, traces out the ancillas and
-    evaluates the overlap with the ideal pair.  The value is that of
-    running ``tqc_encode(prepare_bell_with_ancillas())`` on every call.
+    through the channel in that order (``circuit.CODE_ORDER``), decodes,
+    traces out the ancillas and evaluates the overlap with the ideal pair.
+    The value is that of running ``tqc_encode(prepare_bell_with_ancillas())``
+    on every call.
     """
     if cov.n_uses != 3:
         raise DimensionMismatch(
             f"three-qubit code needs a 3-use covariance, got {cov.n_uses}"
         )
-    rho = apply_channel(
-        _encoded_source().rho, cov, (JointState.Q, JointState.A, JointState.B)
-    )
+    rho = apply_channel(_encoded_source().rho, cov, CODE_ORDER)
     state = tqc_decode(JointState(rho))
     return entanglement_fidelity(state)

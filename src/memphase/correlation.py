@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveSemidefinite, WhiteNoiseUndefined
-from .spectrum import PowerSpectrum, White, autocorrelation, kernel_integral
+from .errors import DomainError, NotPositiveSemidefinite
+from .spectrum import PowerSpectrum, autocorrelation, kernel_integral
 
 __all__ = [
     "ChannelParams",
@@ -187,35 +187,25 @@ def _window_overlap_integral(
 
 
 def covariance_from_autocorrelation(
-    spec: PowerSpectrum,
-    params: ChannelParams,
-    *,
-    window_start: float = 0.0,
+    spec: PowerSpectrum, params: ChannelParams
 ) -> PhaseCovariance:
     """Phase covariance by direct 2-D quadrature over the transit windows.
 
     <phi_k phi_k'> = (lambda^2/4) * double integral of C(t1 - t2) over
-    [t_k, t_k + tau_p] x [t_k', t_k' + tau_p] with t_k = window_start + k*tau.
-    Stationarity makes the result independent of ``window_start``; the knob
-    exists so that invariance can be exercised numerically.
+    [t_k, t_k + tau_p] x [t_k', t_k' + tau_p] with t_k = k*tau.
 
     Exists solely as an independent cross-check of the spectral route.
-    Raises ``DomainError`` when the variance (the m = 0 entry) is not
-    positive and finite, as for lambda = 0, since the correlations are then
-    undefined.
+    White noise has no pointwise C(tau), so it raises
+    ``WhiteNoiseUndefined``.  Raises ``DomainError`` when the variance (the
+    m = 0 entry) is not positive and finite, as for lambda = 0, since the
+    correlations are then undefined.
     """
-    if isinstance(spec, White):
-        raise WhiteNoiseUndefined(
-            "time-domain covariance route needs a pointwise C(tau); "
-            "white noise only supports the spectral route"
-        )
     lam2_4 = params.coupling * params.coupling / 4.0
-    t0 = window_start
     entries = np.empty(params.n_uses)
     for m in range(params.n_uses):
-        tm = window_start + m * params.tau
+        tm = m * params.tau
         entries[m] = lam2_4 * _window_overlap_integral(
-            spec, t0, t0 + params.tau_p, tm, tm + params.tau_p
+            spec, 0.0, params.tau_p, tm, tm + params.tau_p
         )
     variance = float(entries[0])
     if not (math.isfinite(variance) and variance > 0.0):

@@ -14,6 +14,10 @@ averages.  Two independent sampling routes exist:
   the path integral, O(dt^2); gaps between windows are jumped in a single
   exact step.
 
+``mc_tqc_fidelity`` averages the three-qubit code's realized fidelity: it
+folds the circuit layer's weight table (``circuit._code_weights``) into
+three cosines per sample.
+
 Reproducibility contract: an ensemble is drawn from N_SUBSTREAMS
 counter-based (Philox) substreams spawned from the seed.  Substream i fills
 the i-th fixed block of rows, in order, so the ensemble is bit-identical for
@@ -26,7 +30,6 @@ reports the sample mean with the plain standard error std(ddof=1)/sqrt(n).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -34,14 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CoherenceLabel, _basis_bits
-from .circuit import (
-    DECODE_GATES,
-    JointState,
-    _encoded_source,
-    bell_state_rq,
-    gate_unitary,
-)
+from .channel import CoherenceLabel
+from .circuit import _code_weights
 from .correlation import PhaseCovariance
 from .errors import (
     DimensionMismatch,
@@ -243,18 +240,11 @@ def mc_decay_factor(label: CoherenceLabel, phases: np.ndarray) -> McEstimate:
 
 # --- per-realization code pipeline ------------------------------------------
 #
-# For one phase realization the channel is the diagonal unitary
-# U = (x)_k exp(-i sigma_z phi_k) on (Q, A, B), so the realized fidelity is
-#
-#   F(phi) = sum_{j,l} rho_enc[j,l] * exp(2i s(j,l).phi) * K[l,j],
-#   K = U_dec^dag (|bell><bell|_RQ (x) 1_AB) U_dec,
-#
-# a fixed trigonometric polynomial in phi whose coefficients c_s are grouped
-# by the 27 weight vectors s in {-1,0,1}^3.  Every gate and the encoded state
-# are real, so the c_s are real and F = sum_s c_s cos(2 s.phi).  The pipeline
-# gives equal weights to +e_k and -e_k, equal weights to the eight all-+-1
-# vectors, and zero weight to every vector with two nonzero entries, so with
-# the product identity
+# ``circuit._code_weights`` gives the code's realized fidelity as
+# F(phi) = sum_s c_s cos(2 s.phi) over the 27 weight vectors s in {-1,0,1}^3.
+# The pipeline gives equal weights to +e_k and -e_k, equal weights to the
+# eight all-+-1 vectors, and zero weight to every vector with two nonzero
+# entries, so with the product identity
 #
 #   sum_{s in {+-1}^3} cos(2 s.phi) = 8 cos(2 phi_Q) cos(2 phi_A) cos(2 phi_B)
 #
@@ -263,53 +253,20 @@ def mc_decay_factor(label: CoherenceLabel, phases: np.ndarray) -> McEstimate:
 #   F(phi) = w0 + sum_k w1_k cos(2 phi_k) + w3 prod_k cos(2 phi_k),
 #
 # w0 = c_0, w1_k = c_{+e_k} + c_{-e_k}, w3 = sum of the eight all-+-1 weights.
-# Averaging F over realizations equals the fidelity of the averaged state
-# (linearity).
 
 # absolute tolerance of the structure checks the fold rests on
 _FOLD_TOLERANCE = 1e-12
 
 
-def _pipeline_weights() -> dict[tuple[int, int, int], float]:
-    """The real weights c_s of the 27 vectors s, derived from the gate unitaries."""
-    rho_enc = _encoded_source().rho.matrix
-    u_dec = np.eye(16, dtype=complex)
-    for gate in DECODE_GATES:
-        u_dec = gate_unitary(gate, 4) @ u_dec
-    psi = bell_state_rq()
-    projector = np.kron(np.outer(psi, psi.conj()), np.eye(4, dtype=complex))
-    k_mat = u_dec.conj().T @ projector @ u_dec
+def _fold_weights(coeffs: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Fold the (3, 3, 3) weights c_s, indexed by s + 1, into (w0, w1, w3).
 
-    bits = _basis_bits(np.arange(16), 4, (JointState.Q, JointState.A, JointState.B))
-    coeffs: dict[tuple[int, int, int], complex] = {}
-    for j in range(16):
-        for l in range(16):
-            w = rho_enc[j, l] * k_mat[l, j]
-            if w == 0:
-                continue
-            s = tuple(int(b) for b in bits[l] - bits[j])
-            coeffs[s] = coeffs.get(s, 0.0) + w
-    if any(c.imag != 0.0 for c in coeffs.values()):
-        raise ArithmeticError(f"pipeline weights are not real: {coeffs!r}")
-    total = sum(c.real for c in coeffs.values())
-    if not abs(total - 1.0) < 1e-12:
-        raise ArithmeticError(f"noiseless pipeline fidelity is {total!r}, not 1")
-    return {s: c.real for s, c in coeffs.items()}
-
-
-def _fold_weights(
-    coeffs: dict[tuple[int, int, int], float],
-) -> tuple[float, np.ndarray, float]:
-    """Fold the 27 weights c_s into (w0, w1, w3); raises if the fold is invalid."""
-
-    def weights(vectors: np.ndarray) -> np.ndarray:
-        return np.array([coeffs.get(tuple(s), 0.0) for s in vectors.tolist()])
-
+    Raises if the fold is invalid.
+    """
     units = np.eye(3, dtype=int)
-    plus, minus = weights(units), weights(-units)
-    grid = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
-    support = np.abs(grid).sum(axis=1)
-    pairs, triples = weights(grid[support == 2]), weights(grid[support == 3])
+    plus, minus = coeffs[tuple(1 + units)], coeffs[tuple(1 - units)]
+    support = np.abs(np.indices(coeffs.shape) - 1).sum(axis=0)
+    pairs, triples = coeffs[support == 2], coeffs[support == 3]
     if np.any(np.abs(plus - minus) > _FOLD_TOLERANCE):
         raise ArithmeticError(f"weights of +e_k and -e_k differ: {plus!r} vs {minus!r}")
     if triples.max() - triples.min() > _FOLD_TOLERANCE:
@@ -318,13 +275,13 @@ def _fold_weights(
         raise ArithmeticError(f"weights with two nonzero entries are not 0: {pairs!r}")
     w1 = plus + minus
     w1.flags.writeable = False
-    return float(coeffs.get((0, 0, 0), 0.0)), w1, float(triples.sum())
+    return float(coeffs[1, 1, 1]), w1, float(triples.sum())
 
 
 @functools.cache
 def _tqc_weights() -> tuple[float, np.ndarray, float]:
     # every caller shares the cached, read-only w1
-    return _fold_weights(_pipeline_weights())
+    return _fold_weights(_code_weights())
 
 
 def mc_tqc_fidelity(phases: np.ndarray) -> McEstimate:

@@ -198,14 +198,6 @@ class TestTimeDomainRoute:
         assert c_time.eta_sq == pytest.approx(c_spec.eta_sq, rel=1e-7)
         np.testing.assert_allclose(c_time.mu, c_spec.mu, rtol=0.0, atol=1e-7)
 
-    def test_stationarity_under_window_shift(self):
-        spec = Lorentzian(1.0, 1.0)
-        params = ChannelParams(1.0, 1.0, 1.5, 3)
-        base = covariance_from_autocorrelation(spec, params)
-        shifted = covariance_from_autocorrelation(spec, params, window_start=17.3)
-        assert shifted.eta_sq == pytest.approx(base.eta_sq, rel=1e-8)
-        np.testing.assert_allclose(shifted.mu, base.mu, atol=1e-8)
-
     @pytest.mark.parametrize("coupling", [0.0, 1e200])
     def test_rejects_variance_that_is_zero_or_overflows(self, coupling):
         # lambda = 0 gives entries[0] = 0, and the correlations would be 0/0

@@ -13,6 +13,7 @@ from conftest import random_feasible_covariance
 from memphase.channel import CoherenceLabel, DensityMatrix, decay_factor
 from memphase.circuit import (
     JointState,
+    _code_weights,
     entanglement_fidelity,
     prepare_bell_with_ancillas,
     tqc_decode,
@@ -28,7 +29,6 @@ from memphase.montecarlo import (
     _covariance_factor,
     _fill_substreams,
     _fold_weights,
-    _pipeline_weights,
     _standard_error,
     _stream_generators,
     _tqc_weights,
@@ -297,9 +297,11 @@ class TestDecayEstimator:
 
 def cosine_sum_fidelity(phases):
     """The 27-term estimator the folded form replaced: sum_s c_s cos(2 s.phi)."""
+    coeffs = _code_weights()
     fid = np.zeros(phases.shape[0])
-    for s, c in sorted(_pipeline_weights().items()):
-        fid += c * np.cos(2.0 * (phases @ np.array(s, dtype=float)))
+    for index in np.ndindex(coeffs.shape):
+        s = np.array(index, dtype=float) - 1.0
+        fid += coeffs[index] * np.cos(2.0 * (phases @ s))
     return fid.mean(), _standard_error(fid)
 
 
@@ -358,10 +360,19 @@ class TestFidelityEstimator:
         assert not w1.flags.writeable
         assert w0 + w1.sum() + w3 == pytest.approx(1.0, abs=1e-12)
 
+    def test_code_weights_are_cached_read_only_and_symmetric(self):
+        coeffs = _code_weights()
+        assert _code_weights() is coeffs
+        assert coeffs.shape == (3, 3, 3) and coeffs.dtype == np.float64
+        assert not coeffs.flags.writeable
+        assert coeffs.sum() == pytest.approx(1.0, abs=1e-12)
+        # c_s = c_-s: reversing every axis maps s + 1 to -s + 1
+        np.testing.assert_array_equal(coeffs, coeffs[::-1, ::-1, ::-1])
+
     @pytest.mark.parametrize("vector,delta", FOLD_PERTURBATIONS.values(), ids=FOLD_PERTURBATIONS)
     def test_fold_rejects_broken_structure(self, vector, delta):
-        coeffs = _pipeline_weights()
-        coeffs[vector] += delta
+        coeffs = _code_weights().copy()
+        coeffs[tuple(np.add(vector, 1))] += delta
         with pytest.raises(ArithmeticError):
             _fold_weights(coeffs)
 
@@ -369,12 +380,13 @@ class TestFidelityEstimator:
         script = textwrap.dedent(
             f"""
             import sys
-            from memphase.montecarlo import _fold_weights, _pipeline_weights
+            from memphase.circuit import _code_weights
+            from memphase.montecarlo import _fold_weights
 
             assert False, "asserts must be stripped in this run"
-            for vector, delta in {list(FOLD_PERTURBATIONS.values())!r}:
-                coeffs = _pipeline_weights()
-                coeffs[vector] += delta
+            for (q, a, b), delta in {list(FOLD_PERTURBATIONS.values())!r}:
+                coeffs = _code_weights().copy()
+                coeffs[q + 1, a + 1, b + 1] += delta
                 try:
                     _fold_weights(coeffs)
                 except ArithmeticError:
