@@ -20,8 +20,9 @@ so the cost is one (dim, N) x (N, dim) product, and E_jj = 0 exactly on
 the populations.
 
 Validated density matrices must be finite, Hermitian, of unit trace and
-positive semidefinite down to EIGENVALUE_FLOOR.  The checks run in that
-order on every constructed matrix:
+positive semidefinite down to EIGENVALUE_FLOOR.  A state is validated where
+it enters from outside and where the channel makes it (``apply_channel``),
+nowhere else.  The checks run in this order:
 
 1. finiteness of every entry;
 2. Hermiticity: max |m - m^H| <= HERMITICITY_ATOL.  Above HERMITICITY_BLOCK
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import PhaseCovariance
-from .errors import DimensionMismatch, NotPositiveSemidefinite, PositionOutOfRange
+from .errors import DimensionMismatch, DomainError, NotPositiveSemidefinite, PositionOutOfRange
 
 __all__ = [
     "CoherenceLabel",
@@ -112,6 +113,9 @@ class CoherenceLabel:
     def from_bitstrings(cls, j: str, l: str) -> "CoherenceLabel":
         if len(j) != len(l):
             raise DimensionMismatch(f"bitstrings differ in length: {j!r} vs {l!r}")
+        # int(x, 2) alone also takes a sign, a 0b prefix and underscores
+        if not set(j + l) <= {"0", "1"}:
+            raise DomainError(f"bitstrings must be made of 0 and 1, got {j!r}, {l!r}")
         return cls(int(j, 2), int(l, 2), len(j))
 
     @functools.cached_property
@@ -131,8 +135,7 @@ class CoherenceLabel:
 class DensityMatrix:
     """Dense 2^n x 2^n density operator with validated invariants.
 
-    Immutable: the matrix is a read-only array and the attribute cannot be
-    rebound, so one validated instance can be shared by every caller.
+    Immutable: the matrix is a read-only array and the attribute cannot be rebound.
     """
 
     __slots__ = ("matrix",)
@@ -255,9 +258,9 @@ def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMat
     ordering given here.  Spectator qubits are untouched.  Every coherence
     is scaled by g ** E_jl, with the exponents of all pairs taken from the
     quadratic form q_j + q_l - 2 (B T B^T)_jl (see the module docstring).
-    Trace, Hermiticity and positivity are preserved, and the output is
-    re-validated like any ``DensityMatrix``, positivity by a Cholesky
-    factorization.
+    Trace, Hermiticity and positivity are preserved in exact arithmetic, but
+    a covariance accepted within PSD_TOLERANCE can still give non-finite or
+    negative-eigenvalue output, so the output is validated in full.
     """
     which = tuple(int(p) for p in which)
     n = rho.n_qubits

@@ -9,12 +9,11 @@ to the +/- basis with Hadamards, so that dephasing during transmission acts
 like bit flips on the codewords.  Decoding rotates back, uncopies, and
 applies a Toffoli that coherently corrects the single-flip syndromes.
 
-Every gate application builds a validated ``DensityMatrix``.  The encoded
-source ``tqc_encode(prepare_bell_with_ancillas())`` does not depend on the
-channel, so ``_encoded_source`` builds and validates it once and every
-caller shares that one read-only state: the circuit cross-route in
-``codes`` and ``_code_weights``, the code's fidelity polynomial as a
-(3, 3, 3) weight table that the Monte Carlo estimator folds.
+A state is validated where it enters from outside and where the channel
+makes it, nowhere else: a Hadamard, basis permutation or +-1 diagonal
+conjugation keeps a valid state valid up to rounding, so ``apply_gate`` and
+``apply_pauli_z`` build their outputs unvalidated.  ``_code_weights`` holds
+the code's fidelity polynomial as a (3, 3, 3) weight table for Monte Carlo.
 """
 
 from __future__ import annotations
@@ -144,7 +143,7 @@ def apply_gate(state: JointState, gate: Gate) -> JointState:
     if JointState.R in (gate.target, *gate.controls):
         raise PositionOutOfRange("the reference qubit R is never acted on")
     u = gate_unitary(gate, 4)
-    return JointState(DensityMatrix(u @ state.rho.matrix @ u.conj().T))
+    return JointState(DensityMatrix(u @ state.rho.matrix @ u.conj().T, validate=False))
 
 
 def apply_pauli_z(state: JointState, position: int) -> JointState:
@@ -154,7 +153,8 @@ def apply_pauli_z(state: JointState, position: int) -> JointState:
     if not 0 <= position < 4:
         raise PositionOutOfRange(f"position {position} outside register")
     signs = 1.0 - 2.0 * _basis_bits(np.arange(16), 4, (position,))[:, 0]
-    return JointState(DensityMatrix(state.rho.matrix * np.outer(signs, signs)))
+    flipped = state.rho.matrix * np.outer(signs, signs)
+    return JointState(DensityMatrix(flipped, validate=False))
 
 
 ENCODE_GATES = (
@@ -182,15 +182,6 @@ def tqc_encode(state: JointState) -> JointState:
     for gate in ENCODE_GATES:
         state = apply_gate(state, gate)
     return state
-
-
-@functools.cache
-def _encoded_source() -> JointState:
-    """``tqc_encode(prepare_bell_with_ancillas())``, built and validated once.
-
-    Every caller shares the returned state; its matrix is read-only.
-    """
-    return tqc_encode(prepare_bell_with_ancillas())
 
 
 def tqc_decode(state: JointState) -> JointState:
@@ -261,7 +252,7 @@ def _code_weights() -> np.ndarray:
     A (3, 3, 3) array indexed by s + 1 over CODE_ORDER; c_s is summed in
     (j, l) order.  Every caller shares the returned read-only array.
     """
-    rho_enc = _encoded_source().rho.matrix
+    rho_enc = tqc_encode(prepare_bell_with_ancillas()).rho.matrix
     u_dec = np.eye(16, dtype=complex)
     for gate in DECODE_GATES:
         u_dec = gate_unitary(gate, 4) @ u_dec

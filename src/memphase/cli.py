@@ -197,9 +197,12 @@ def cmd_decay(config: RunConfig) -> str:
     lines.append("")
     lines.append("j,l,exponent,decay")
     for label in _parse_labels(config):
-        d, exponent = _decay_factor_and_exponent(label, cov)
         j_bits = format(label.j, f"0{config.n_uses}b")
         l_bits = format(label.l, f"0{config.n_uses}b")
+        try:
+            d, exponent = _decay_factor_and_exponent(label, cov)
+        except ArithmeticError as exc:
+            raise ConfigError(f"decay factor of {j_bits}:{l_bits}: {exc}") from exc
         lines.append(f"{j_bits},{l_bits},{exponent:.12e},{d:.12e}")
     return "\n".join(lines) + "\n"
 

@@ -13,11 +13,11 @@ so the public function and the sweep columns share one expression.
 
 ``fe_tqc_via_circuit`` re-derives the closed form by running the full
 encode / channel / decode pipeline exactly (no sampling); agreement to
-machine precision is part of the acceptance suite.  The encoded source does
-not depend on the channel: it is built and validated once
-(``circuit._encoded_source``) and shared read-only, so each call validates
-the channel output and the six decode steps.  The Monte Carlo route checks
-the same pipeline through its weight table (``circuit._code_weights``).
+machine precision is part of the acceptance suite.  A state is validated
+where it enters from outside and where the channel makes it, nowhere else,
+so each call validates one state: the channel output.  The Monte Carlo
+route checks the same pipeline through its weight table
+(``circuit._code_weights``).
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from .channel import apply_channel
 from .circuit import (
     CODE_ORDER,
     JointState,
-    _encoded_source,
     entanglement_fidelity,
+    prepare_bell_with_ancillas,
     tqc_decode,
+    tqc_encode,
 )
-from .correlation import PhaseCovariance, check_mu_feasible
+from .correlation import PhaseCovariance, _check_damping, check_mu_feasible
 from .errors import DimensionMismatch, DomainError, FeasibilityWarning
 
 __all__ = [
@@ -48,14 +49,9 @@ __all__ = [
 ]
 
 
-def _check_g(g: float) -> None:
-    if not 0.0 < g <= 1.0:
-        raise DomainError(f"damping g must be in (0, 1], got {g}")
-
-
 def fe_single(g: float) -> float:
     """Entanglement fidelity of one uncoded channel use: (1 + g)/2."""
-    _check_g(g)
+    _check_damping(g)
     return 0.5 * (1.0 + g)
 
 
@@ -67,7 +63,7 @@ def fe_tqc_general(g: float, mu_qa: float, mu_qb: float, mu_ab: float) -> float:
                              + g^(-2 mu_QA - 2 mu_QB + 2 mu_AB)
                              + g^(2 mu_QA + 2 mu_QB + 2 mu_AB) ]
     """
-    _check_g(g)
+    _check_damping(g)
     bracket = (
         g ** (2 * mu_qa - 2 * mu_qb - 2 * mu_ab)
         + g ** (-2 * mu_qa + 2 * mu_qb - 2 * mu_ab)
@@ -86,7 +82,7 @@ def fe_tqc_memory(g: float, mu1: float, mu2: float) -> float:
     Infeasible (mu1, mu2) pairs warn but still evaluate: the formula is a
     well-defined function everywhere.
     """
-    _check_g(g)
+    _check_damping(g)
     verdict = check_mu_feasible(mu1, mu2)
     if not verdict.feasible:
         warnings.warn(
@@ -126,7 +122,7 @@ def pe_two_qubit(g: float, mu1: float) -> float:
     decoherence-free at mu1 = 1.  Evaluated as -expm1((2 - 2 mu1) ln g)/2,
     which keeps full relative precision when g^(2 - 2 mu1) is close to 1.
     """
-    _check_g(g)
+    _check_damping(g)
     # + 0.0 turns the -0.0 of g = 1 into 0.0
     return -0.5 * math.expm1(2.0 * (1.0 - mu1) * math.log(g)) + 0.0
 
@@ -159,17 +155,14 @@ def mu2_opt(g: float, mu1: float) -> float:
 def fe_tqc_via_circuit(cov: PhaseCovariance) -> float:
     """Code fidelity from the explicit gate pipeline (exact, no sampling).
 
-    Starts from the encoded purified source, which is built and validated
-    once and shared read-only (``circuit._encoded_source``), sends (Q, A, B)
-    through the channel in that order (``circuit.CODE_ORDER``), decodes,
-    traces out the ancillas and evaluates the overlap with the ideal pair.
-    The value is that of running ``tqc_encode(prepare_bell_with_ancillas())``
-    on every call.
+    Encodes the purified source, sends (Q, A, B) through the channel in
+    that order (``circuit.CODE_ORDER``), decodes, traces out the ancillas
+    and evaluates the overlap with the ideal pair.
     """
     if cov.n_uses != 3:
         raise DimensionMismatch(
             f"three-qubit code needs a 3-use covariance, got {cov.n_uses}"
         )
-    rho = apply_channel(_encoded_source().rho, cov, CODE_ORDER)
-    state = tqc_decode(JointState(rho))
-    return entanglement_fidelity(state)
+    source = tqc_encode(prepare_bell_with_ancillas())
+    rho = apply_channel(source.rho, cov, CODE_ORDER)
+    return entanglement_fidelity(tqc_decode(JointState(rho)))

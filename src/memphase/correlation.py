@@ -37,6 +37,12 @@ __all__ = [
     "check_mu_feasible",
 ]
 
+
+def _check_damping(g: float) -> None:
+    if not 0.0 < g <= 1.0:
+        raise DomainError(f"damping g must be in (0, 1], got {g}")
+
+
 # eigenvalues of Sigma may dip this far below zero (relative to eta^2)
 # before the covariance is rejected as inconsistent
 PSD_TOLERANCE = 1e-10
@@ -118,8 +124,7 @@ class PhaseCovariance:
     @classmethod
     def from_damping(cls, g: float, mu) -> "PhaseCovariance":
         """Build from the single-use damping g = exp(-2*eta^2) and mu by lag."""
-        if not 0.0 < g <= 1.0:
-            raise DomainError(f"damping g must be in (0, 1], got {g}")
+        _check_damping(g)
         return cls(eta_sq=-0.5 * math.log(g), mu=np.asarray(mu, dtype=float))
 
     @property
@@ -218,8 +223,7 @@ def covariance_from_autocorrelation(
 
 def epsilon_from_g(g: float) -> float:
     """Single-use error probability epsilon = (1 - g)/2 for g in (0, 1]."""
-    if not 0.0 < g <= 1.0:
-        raise DomainError(f"damping g must be in (0, 1], got {g}")
+    _check_damping(g)
     return 0.5 * (1.0 - g)
 
 

@@ -16,7 +16,8 @@ averages.  Two independent sampling routes exist:
 
 ``mc_tqc_fidelity`` averages the three-qubit code's realized fidelity: it
 folds the circuit layer's weight table (``circuit._code_weights``) into
-three cosines per sample.
+three cosines per sample.  A state is validated where it enters from outside
+and where the channel makes it, nowhere else; the table's checks guard it.
 
 Reproducibility contract: an ensemble is drawn from N_SUBSTREAMS
 counter-based (Philox) substreams spawned from the seed.  Substream i fills

@@ -199,6 +199,7 @@ def kernel_integral(spec: PowerSpectrum, tau_p: float, delta: float) -> float:
     """Windowed phase-covariance kernel I(delta), in closed form.
 
     I(delta) = (1/2pi) int_0^inf S(w) (1-cos(w tau_p))/w^2 cos(w delta) dw.
+    A closed form that leaves the float range raises ``DomainError``.
 
     Parameters
     ----------
@@ -211,4 +212,7 @@ def kernel_integral(spec: PowerSpectrum, tau_p: float, delta: float) -> float:
     """
     if not tau_p > 0.0:
         raise DomainError(f"tau_p must be positive, got {tau_p}")
-    return spec.kernel(tau_p, abs(delta))
+    try:
+        return spec.kernel(tau_p, abs(delta))
+    except (ArithmeticError, ValueError) as exc:
+        raise DomainError(f"kernel integral of {spec!r} at lag {delta} failed: {exc}") from exc

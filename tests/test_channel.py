@@ -23,7 +23,12 @@ from memphase.channel import (
 )
 import memphase
 from memphase.correlation import PhaseCovariance
-from memphase.errors import DimensionMismatch, NotPositiveSemidefinite, PositionOutOfRange
+from memphase.errors import (
+    DimensionMismatch,
+    DomainError,
+    NotPositiveSemidefinite,
+    PositionOutOfRange,
+)
 
 # fixed example sequence, so the suite gives the same verdict on every run
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -87,6 +92,13 @@ class TestCoherenceLabel:
     def test_negative_register_size(self):
         with pytest.raises(DimensionMismatch, match="non-negative"):
             CoherenceLabel(0, 1, -1)
+
+    @pytest.mark.parametrize("bits", ["-01", "0b1", "+01", "0_1", " 01", "012", "０１１"])
+    def test_bitstrings_are_made_of_0_and_1(self, bits):
+        with pytest.raises(DomainError, match="made of 0 and 1"):
+            CoherenceLabel.from_bitstrings(bits, "111")
+        with pytest.raises(DomainError, match="made of 0 and 1"):
+            CoherenceLabel.from_bitstrings("111", bits)
 
 
 class TestDecayFactor:
@@ -179,6 +191,22 @@ class TestDecayFactor:
 
 
 class TestApplyChannel:
+    # mu2 = -0.5 - delta gives min eig(T) ~ -2 delta / 3, inside PSD_TOLERANCE,
+    # so the covariance is accepted; only the output validation catches these
+    def test_output_validation_catches_non_finite_entries(self):
+        rho = DensityMatrix.from_state_vector(np.ones(8))
+        cov = PhaseCovariance(eta_sq=400.0, mu=[1.0, 0.5, -0.5 - 1e-11])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="non-finite"):
+                apply_channel(rho, cov, (0, 1, 2))
+
+    def test_output_validation_catches_a_negative_eigenvalue(self):
+        rho = DensityMatrix.from_state_vector(np.ones(8))
+        cov = PhaseCovariance(eta_sq=20.0, mu=[1.0, 0.5, -0.5 - 3e-11])
+        with pytest.raises(NotPositiveSemidefinite, match="eigenvalue"):
+            apply_channel(rho, cov, (0, 1, 2))
+
     def test_maximally_mixed_unchanged(self):
         cov = PhaseCovariance.from_damping(0.5, [1.0, 0.4])
         rho = DensityMatrix(np.eye(4) / 4)
@@ -306,6 +334,17 @@ class TestApplyChannelProperties:
 
 
 class TestDensityMatrix:
+    def test_matrix_is_read_only_and_not_rebindable(self):
+        rho = DensityMatrix(np.eye(4) / 4)
+        assert not rho.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            rho.matrix = np.eye(4, dtype=complex) / 4
+        with pytest.raises(AttributeError):
+            del rho.matrix
+        np.testing.assert_array_equal(rho.matrix, np.eye(4) / 4)
+
     @pytest.mark.parametrize("entry", [np.nan, complex(0.1, np.nan), np.inf])
     def test_rejects_non_finite(self, entry):
         m = np.eye(2, dtype=complex) / 2

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import random_feasible_point
 from memphase.channel import DensityMatrix, apply_channel
 from memphase.circuit import (
+    CODE_ORDER,
+    DECODE_GATES,
+    ENCODE_GATES,
     JointState,
-    _encoded_source,
     apply_gate,
     apply_pauli_z,
     cnot,
@@ -19,7 +22,7 @@ from memphase.circuit import (
     tqc_decode,
     tqc_encode,
 )
-from memphase.codes import fe_tqc_memory
+from memphase.codes import fe_tqc_memory, fe_tqc_via_circuit
 from memphase.correlation import PhaseCovariance
 from memphase.errors import DimensionMismatch, PositionOutOfRange
 
@@ -143,18 +146,45 @@ class TestPipeline:
         assert fid == pytest.approx(0.5 + 0.75 * g - 0.25 * g**3, abs=1e-12)
 
 
-class TestEncodedSource:
-    def test_one_read_only_state_equal_to_a_fresh_encode(self):
-        shared = _encoded_source()
-        assert _encoded_source() is shared
-        assert not shared.rho.matrix.flags.writeable
-        fresh = tqc_encode(prepare_bell_with_ancillas()).rho.matrix
-        np.testing.assert_array_equal(shared.rho.matrix, fresh)
-        with pytest.raises(AttributeError):
-            shared.rho.matrix = np.eye(16, dtype=complex) / 16
-        with pytest.raises(AttributeError):
-            del shared.rho.matrix
-        assert shared.rho.matrix is _encoded_source().rho.matrix
+class TestValidationRule:
+    """A state is validated where it enters and where the channel makes it."""
+
+    def test_one_circuit_fidelity_validates_one_state(self, monkeypatch):
+        original = DensityMatrix.__init__
+        validated = []
+
+        def counting_init(obj, matrix, *, validate=True):
+            validated.append(validate)
+            original(obj, matrix, validate=validate)
+
+        monkeypatch.setattr(DensityMatrix, "__init__", counting_init)
+        fe_tqc_via_circuit(PhaseCovariance.from_damping(0.9, [1.0, 0.4, 0.2]))
+        assert validated.count(True) == 1
+
+    def test_every_derived_state_passes_full_validation(self, rng):
+        # 40 interior points, then mu2 at both band edges with g up to 1 - 1e-12
+        points = [random_feasible_point(rng) for _ in range(40)]
+        for g in (0.3, 1.0 - 1e-9, 1.0 - 1e-12):
+            for mu1 in (0.0, 0.5, 0.9, 1.0):
+                points += [(g, mu1, max(0.0, 2.0 * mu1 * mu1 - 1.0)), (g, mu1, mu1)]
+        assert len(points) >= 50
+
+        def check(state):
+            DensityMatrix(state.rho.matrix)
+            for position in CODE_ORDER:
+                DensityMatrix(apply_pauli_z(state, position).rho.matrix)
+
+        encoded = prepare_bell_with_ancillas()
+        for gate in ENCODE_GATES:
+            encoded = apply_gate(encoded, gate)
+            check(encoded)
+        for g, mu1, mu2 in points:
+            cov = PhaseCovariance.from_damping(g, [1.0, mu1, mu2])
+            state = JointState(apply_channel(encoded.rho, cov, CODE_ORDER))
+            check(state)
+            for gate in DECODE_GATES:
+                state = apply_gate(state, gate)
+                check(state)
 
 
 class TestPartialTrace:

@@ -21,6 +21,16 @@ from memphase.correlation import check_mu_feasible, g_from_epsilon
 from memphase.errors import ConfigError
 
 
+# valid spectra whose kernel closed forms leave the float range
+FLOAT_RANGE_CONFIGS = {
+    "gamma-tiny": "gamma = 1e-300\n",
+    "gamma-huge": "gamma = 1e200\n",
+    "omega_min-tiny": "spectrum = one_over_f\nomega_min = 1e-300\n",
+    "omega_max-inf": "spectrum = one_over_f\nomega_max = inf\n",
+    "omega_max-huge": "spectrum = one_over_f\nomega_max = 1e300\ntau = 1e9\n",
+}
+
+
 def write_config(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
@@ -114,6 +124,23 @@ class TestDecayCommand:
     def test_bad_label_diagnostic(self):
         with pytest.raises(ConfigError, match="labels"):
             cmd_decay(RunConfig(n_uses=3, labels="00:11"))
+
+    @pytest.mark.parametrize("labels", ["-01:111", "0b1:111", "+01:111", "0_1:111"])
+    def test_label_bits_other_than_0_and_1_exit_code(self, tmp_path, capsys, labels):
+        code = main(["decay", "--config", write_config(tmp_path, f"labels = {labels}\n")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: field 'labels': {labels!r}: bitstrings must be made of 0 and 1"
+        )
+
+    def test_decay_cross_check_failure_exit_code(self, tmp_path, capsys):
+        # g is subnormal (~1e-322), so g**E and exp(-2 s^T Sigma s) disagree
+        text = "gamma = 1e-9\ncoupling = 38.5\nn_uses = 2\n"
+        code = main(["decay", "--config", write_config(tmp_path, text)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: decay factor of 01:10: decay-factor forms disagree"
+        )
 
     def test_white_beyond_window_is_exactly_uncorrelated(self):
         text = cmd_decay(RunConfig(spectrum="white", tau=1.5))
@@ -378,15 +405,20 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "command,config_text",
         [
-            ("decay", "coupling = 100\n"),
-            ("decay", "coupling = 1e200\n"),
-            ("validate", "coupling = 1e200\n"),
-            ("decay", "tau_p = 1e-300\ntau = 1\n"),
-            ("validate", "tau_p = 1e-300\ntau = 1\n"),
-            ("validate", "coupling = 0\n"),
+            pytest.param("decay", "coupling = 100\n", id="decay-g-underflow"),
+            pytest.param("decay", "coupling = 1e200\n", id="decay-eta-overflow"),
+            pytest.param("validate", "coupling = 1e200\n", id="validate-eta-overflow"),
+            pytest.param("decay", "tau_p = 1e-300\ntau = 1\n", id="decay-kernel-underflow"),
+            pytest.param(
+                "validate", "tau_p = 1e-300\ntau = 1\n", id="validate-kernel-underflow"
+            ),
+            pytest.param("validate", "coupling = 0\n", id="validate-noiseless"),
+        ]
+        + [
+            pytest.param(command, config_text, id=f"{command}-{name}")
+            for name, config_text in FLOAT_RANGE_CONFIGS.items()
+            for command in ("decay", "validate")
         ],
-        ids=["decay-g-underflow", "decay-eta-overflow", "validate-eta-overflow",
-             "decay-kernel-underflow", "validate-kernel-underflow", "validate-noiseless"],
     )
     def test_covariance_out_of_range_exit_code(self, tmp_path, capsys, command, config_text):
         code = main([command, "--config", write_config(tmp_path, config_text)])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
+from memphase.codes import fe_single
 from memphase.correlation import (
     ChannelParams,
     PhaseCovariance,
@@ -225,6 +226,16 @@ class TestScalarConversions:
             epsilon_from_g(0.0)
         with pytest.raises(DomainError):
             epsilon_from_g(1.2)
+
+    @pytest.mark.parametrize("g", [0.0, -0.5, 1.5, math.nan])
+    def test_every_damping_check_says_the_same(self, g):
+        for call in (
+            lambda: epsilon_from_g(g),
+            lambda: PhaseCovariance.from_damping(g, [1.0]),
+            lambda: fe_single(g),
+        ):
+            with pytest.raises(DomainError, match=r"damping g must be in \(0, 1\], got"):
+                call()
 
     def test_g_from_epsilon_round_trip(self):
         for eps in (0.0, 1e-3, 0.25, 0.49):

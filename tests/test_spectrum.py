@@ -101,6 +101,21 @@ class TestAutocorrelation:
 
 
 class TestKernelIntegral:
+    @pytest.mark.parametrize(
+        "spec,delta",
+        [
+            (Lorentzian(1.0, 1e-300), 0.0),
+            (Lorentzian(1.0, 1e200), 0.0),
+            (OneOverF(1.0, 1e-300, 10.0), 0.0),
+            (OneOverF(1.0, 0.1, math.inf), 0.0),
+            (OneOverF(1.0, 0.1, 1e300), 1e9),
+        ],
+        ids=["rate-tiny", "rate-huge", "omega_min-tiny", "omega_max-inf", "omega_max-huge"],
+    )
+    def test_float_range_failure_names_spectrum_and_lag(self, spec, delta):
+        with pytest.raises(DomainError, match=rf"{type(spec).__name__}\(.*at lag {delta}"):
+            kernel_integral(spec, 1.0, delta)
+
     def test_white_at_zero_lag(self):
         # int_0^inf (1-cos a w)/w^2 dw = pi a / 2  =>  I(0) = S0 tau_p / 4
         assert kernel_integral(White(1.0), 2.0, 0.0) == pytest.approx(0.5, rel=1e-10)
