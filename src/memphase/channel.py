@@ -273,5 +273,8 @@ def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMat
     for p in which:
         if not 0 <= p < n:
             raise PositionOutOfRange(f"position {p} outside register of {n} qubits")
-    decay = _decay_matrix(rho.dim, n, cov, which)
-    return DensityMatrix(rho.matrix * decay)
+    # an infinite or NaN entry is reported by the output validation, not
+    # as a numpy warning
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = rho.matrix * _decay_matrix(rho.dim, n, cov, which)
+    return DensityMatrix(out)

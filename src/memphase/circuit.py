@@ -227,8 +227,7 @@ def entanglement_fidelity(state: JointState) -> float:
     """
     psi = bell_state_rq()
     rho_rq = partial_trace(state.rho.matrix, (JointState.R, JointState.Q), 4)
-    value = np.real_if_close(psi.conj() @ rho_rq @ psi, tol=1000)
-    return float(np.real(value))
+    return float(np.real(psi.conj() @ rho_rq @ psi))
 
 
 # For one phase realization the channel is the diagonal unitary

@@ -6,7 +6,8 @@ averages.  Two independent sampling routes exist:
 * ``sample_phases_direct`` draws (phi_1 .. phi_N) exactly from the
   multivariate normal with the given covariance, via a symmetric
   eigen-factorization (valid also for singular, perfectly correlated
-  covariances).
+  covariances).  It trusts ``PhaseCovariance``'s positivity verdict and
+  clips the rounding negatives that verdict lets through to zero.
 * ``sample_phases_trajectory`` integrates explicit drive paths through the
   transit windows.  The exponentially correlated drive admits an exact
   one-step update xi' = xi*exp(-rate*dt) + sqrt(variance*(1-exp(-2*rate*dt)))*z,
@@ -16,8 +17,7 @@ averages.  Two independent sampling routes exist:
 
 ``mc_tqc_fidelity`` averages the three-qubit code's realized fidelity: it
 folds the circuit layer's weight table (``circuit._code_weights``) into
-three cosines per sample.  A state is validated where it enters from outside
-and where the channel makes it, nowhere else; the table's checks guard it.
+three cosines per sample.
 
 Reproducibility contract: an ensemble is drawn from N_SUBSTREAMS
 counter-based (Philox) substreams spawned from the seed.  Substream i fills
@@ -41,12 +41,7 @@ import numpy as np
 from .channel import CoherenceLabel
 from .circuit import _code_weights
 from .correlation import PhaseCovariance
-from .errors import (
-    DimensionMismatch,
-    EmptyEnsemble,
-    NotPositiveSemidefinite,
-    StepTooCoarse,
-)
+from .errors import DimensionMismatch, EmptyEnsemble, StepTooCoarse
 from .spectrum import Lorentzian
 
 __all__ = [
@@ -124,14 +119,13 @@ def _fill_substreams(fill, seed: int, n: int) -> None:
 
 
 def _covariance_factor(cov: PhaseCovariance) -> np.ndarray:
-    """Symmetric factor L with L L^T = Sigma (eigendecomposition, PSD-safe)."""
-    sigma = cov.sigma
-    w, v = np.linalg.eigh(sigma)
-    floor = -1e-10 * max(cov.eta_sq, 1e-300)
-    if w[0] < floor:
-        raise NotPositiveSemidefinite(
-            f"covariance eigenvalue {w[0]:.3e} below tolerance {floor:.3e}"
-        )
+    """Symmetric factor L with L L^T = Sigma (eigendecomposition).
+
+    ``PhaseCovariance`` has already decided that Sigma is positive
+    semidefinite; the eigenvalues it let through below zero are rounding,
+    and are clipped to zero here.
+    """
+    w, v = np.linalg.eigh(cov.sigma)
     # flush null-space rounding noise so degenerate (perfectly correlated)
     # directions stay exactly degenerate in the samples
     w = np.clip(w, 0.0, None)

@@ -197,7 +197,7 @@ class TestApplyChannel:
         rho = DensityMatrix.from_state_vector(np.ones(8))
         cov = PhaseCovariance(eta_sq=400.0, mu=[1.0, 0.5, -0.5 - 1e-11])
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
                 apply_channel(rho, cov, (0, 1, 2))
 

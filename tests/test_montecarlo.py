@@ -22,7 +22,12 @@ from memphase.circuit import (
 from memphase.codes import fe_tqc_memory
 from memphase.correlation import ChannelParams, PhaseCovariance, covariance_from_spectrum
 import memphase
-from memphase.errors import DimensionMismatch, EmptyEnsemble, StepTooCoarse
+from memphase.errors import (
+    DimensionMismatch,
+    EmptyEnsemble,
+    NotPositiveSemidefinite,
+    StepTooCoarse,
+)
 import memphase.montecarlo as montecarlo
 from memphase.montecarlo import (
     _chunk_sizes,
@@ -176,6 +181,23 @@ class TestDirectSampling:
         a = sample_phases_direct(cov, 1, 1000)
         b = sample_phases_direct(cov, 2, 1000)
         assert not np.array_equal(a, b)
+
+    def test_samples_every_covariance_phase_covariance_accepts(self):
+        # lambda_min(T) = -9.99998e-11 lies inside PSD_TOLERANCE
+        cov = PhaseCovariance(1.0, [1.0, 0.5, -0.5000000001499998])
+        assert np.isfinite(sample_phases_direct(cov, 1, 10)).all()
+        # mu2 = -0.5 - delta gives lambda_min(T) ~ -2 delta / 3: these sit
+        # within a few 1e-15 of the tolerance edge on either side
+        accepted = 0
+        for eta_sq in np.geomspace(1e-3, 1e2, 12):
+            for delta in 1.5e-10 * (1.0 + np.linspace(-3e-5, 3e-5, 25)):
+                try:
+                    cov = PhaseCovariance(eta_sq, [1.0, 0.5, -0.5 - delta])
+                except NotPositiveSemidefinite:
+                    continue
+                accepted += 1
+                assert np.isfinite(sample_phases_direct(cov, 3, 4)).all()
+        assert accepted > 0
 
     def test_singular_covariance_supported(self):
         # perfectly correlated phases: rank-1 covariance
