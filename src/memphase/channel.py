@@ -25,13 +25,13 @@ it enters from outside and where the channel makes it (``apply_channel``),
 nowhere else.  The checks run in this order:
 
 1. finiteness of every entry;
-2. Hermiticity: max |m - m^H| <= HERMITICITY_ATOL.  Above HERMITICITY_BLOCK
-   rows the maximum is taken block by block: rows r:r+b from the diagonal
+2. Hermiticity: max |m - m^H| <= HERMITICITY_ATOL.  The maximum is taken
+   in blocks of b = HERMITICITY_BLOCK rows: rows r:r+b from the diagonal
    on are compared with the conjugate of the matching column block,
    m[r:, r:r+b].  That reads the transpose one contiguous slab at a time,
    and since |m_ij - conj(m_ji)| equals |m_ji - conj(m_ij)| exactly, the
    blocks at and right of the diagonal give the same maximum as the whole
-   matrix;
+   matrix.  Up to b rows this is one pass over the whole matrix;
 3. the trace, to TRACE_ATOL;
 4. positivity, by a Cholesky factorization of m - EIGENVALUE_FLOOR * I,
    which exists exactly when every eigenvalue lies above the floor.  The
@@ -39,7 +39,10 @@ nowhere else.  The checks run in this order:
    eigenvalues themselves are computed only when the factorization fails.
 
 Register convention: qubit position 0 is the most significant bit of the
-basis index (leftmost factor of the tensor product).
+basis index (leftmost factor of the tensor product), and a list of positions
+names distinct qubits of the register.  This module owns the convention:
+``_basis_bits`` is the one bit reader and ``_check_positions`` the one
+position check, for the channel and the circuit layer alike.
 """
 
 from __future__ import annotations
@@ -78,15 +81,21 @@ def _basis_bits(indices, n_qubits: int, positions) -> np.ndarray:
     return bits.astype(np.int64, copy=False)
 
 
+def _check_positions(positions, n_qubits: int) -> None:
+    """Raise PositionOutOfRange unless the positions are distinct qubits of the register."""
+    if len(set(positions)) != len(positions):
+        raise PositionOutOfRange(f"duplicate qubit positions in {tuple(positions)}")
+    for p in positions:
+        if not 0 <= p < n_qubits:
+            raise PositionOutOfRange(f"position {p} outside register of {n_qubits} qubits")
+
+
 def _hermiticity_defect(m: np.ndarray) -> float:
-    """max |m - m^H|, compared in row blocks above HERMITICITY_BLOCK rows."""
-    dim = m.shape[0]
-    if dim <= HERMITICITY_BLOCK:
-        return np.abs(m - m.conj().T).max()
+    """max |m - m^H|, compared in row blocks of HERMITICITY_BLOCK rows."""
     b = HERMITICITY_BLOCK
     return max(
         np.abs(m[r : r + b, r:] - m[r:, r : r + b].conj().T).max()
-        for r in range(0, dim, b)
+        for r in range(0, m.shape[0], b)
     )
 
 
@@ -268,11 +277,7 @@ def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMat
         raise DimensionMismatch(
             f"{len(which)} transmitted qubits but covariance has {cov.n_uses} uses"
         )
-    if len(set(which)) != len(which):
-        raise PositionOutOfRange(f"duplicate qubit positions in {which}")
-    for p in which:
-        if not 0 <= p < n:
-            raise PositionOutOfRange(f"position {p} outside register of {n} qubits")
+    _check_positions(which, n)
     # an infinite or NaN entry is reported by the output validation, not
     # as a numpy warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DensityMatrix, _basis_bits
+from .channel import DensityMatrix, _basis_bits, _check_positions
 from .errors import DimensionMismatch, PositionOutOfRange
 
 __all__ = [
@@ -44,7 +44,8 @@ __all__ = [
     "entanglement_fidelity",
 ]
 
-_H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+_H2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+_X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -89,25 +90,15 @@ def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
     Built once per (gate, n_qubits); every caller shares the returned
     read-only array.
     """
-    for p in (gate.target, *gate.controls):
-        if not 0 <= p < n_qubits:
-            raise PositionOutOfRange(f"position {p} outside register of {n_qubits}")
-    dim = 1 << n_qubits
-    if gate.kind == "h":
-        u = np.array([[1.0 + 0j]])
-        for p in range(n_qubits):
-            u = np.kron(u, _H2 if p == gate.target else np.eye(2))
-        u.flags.writeable = False
-        return u
-    # controlled flips are permutations of the basis
-    u = np.zeros((dim, dim))
-    t_bit = n_qubits - 1 - gate.target
-    c_mask = 0
-    for c in gate.controls:
-        c_mask |= 1 << (n_qubits - 1 - c)
-    for i in range(dim):
-        j = i ^ (1 << t_bit) if (i & c_mask) == c_mask else i
-        u[j, i] = 1.0
+    _check_positions((gate.target, *gate.controls), n_qubits)
+    one_qubit = _H2 if gate.kind == "h" else _X2
+    u = np.ones((1, 1))
+    for p in range(n_qubits):
+        u = np.kron(u, one_qubit if p == gate.target else np.eye(2))
+    if gate.controls:
+        # X on the target moves a basis index only where every control bit is 1
+        fires = _basis_bits(np.arange(len(u)), n_qubits, gate.controls).all(axis=1)
+        u = np.where(fires, u, np.eye(len(u)))
     u.flags.writeable = False
     return u
 
@@ -150,8 +141,7 @@ def apply_pauli_z(state: JointState, position: int) -> JointState:
     """Deterministic phase flip on one code qubit (error injection)."""
     if position == JointState.R:
         raise PositionOutOfRange("the reference qubit R is never acted on")
-    if not 0 <= position < 4:
-        raise PositionOutOfRange(f"position {position} outside register")
+    _check_positions((position,), 4)
     signs = 1.0 - 2.0 * _basis_bits(np.arange(16), 4, (position,))[:, 0]
     flipped = state.rho.matrix * np.outer(signs, signs)
     return JointState(DensityMatrix(flipped, validate=False))
@@ -193,11 +183,7 @@ def tqc_decode(state: JointState) -> JointState:
 def partial_trace(matrix: np.ndarray, keep, n_qubits: int) -> np.ndarray:
     """Trace out every qubit not in ``keep`` (positions, ascending output order)."""
     keep = sorted(keep)
-    if len(set(keep)) != len(keep):
-        raise PositionOutOfRange(f"duplicate positions in keep={keep}")
-    for p in keep:
-        if not 0 <= p < n_qubits:
-            raise PositionOutOfRange(f"position {p} outside register of {n_qubits}")
+    _check_positions(keep, n_qubits)
     dim = 1 << n_qubits
     if matrix.shape != (dim, dim):
         raise DimensionMismatch(

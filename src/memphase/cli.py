@@ -84,7 +84,7 @@ class RunConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -157,12 +157,13 @@ def _parse_labels(config: RunConfig) -> list[CoherenceLabel]:
                     f"field 'labels': expected 'jbits:lbits', got {item!r}"
                 )
             j, _, l = item.partition(":")
+            j, l = j.strip(), l.strip()
             if len(j) != n or len(l) != n:
                 raise ConfigError(
                     f"field 'labels': {item!r} does not match n_uses={n}"
                 )
             try:
-                labels.append(CoherenceLabel.from_bitstrings(j.strip(), l.strip()))
+                labels.append(CoherenceLabel.from_bitstrings(j, l))
             except ValueError as exc:
                 raise ConfigError(f"field 'labels': {item!r}: {exc}") from exc
         return labels
@@ -229,16 +230,17 @@ def cmd_fig2(config: RunConfig) -> str:
 
     def row(mu1: float) -> str:
         mu1 = min(mu1, 1.0)
-        at_upper = check_mu_feasible(mu1, mu1)
-        mu2_lower = at_upper.mu2_lower
+        # mu2 at either edge of the band is feasible exactly when mu1 is in
+        # [0, 1], so one verdict fills both feasibility columns
+        verdict = check_mu_feasible(mu1, mu1)
+        mu2_lower = verdict.mu2_lower
         pe_lower = 1.0 - _fe_tqc(g, mu1, mu2_lower)
         pe_upper = 1.0 - _fe_tqc(g, mu1, mu1)
         pe_2q = pe_two_qubit(g, mu1)
-        feas_lo = check_mu_feasible(mu1, mu2_lower).feasible
-        feas_hi = at_upper.feasible
+        feasible = int(verdict.feasible)
         return (
             f"{mu1:.6f},{mu2_lower:.12e},{pe_lower:.12e},{pe_upper:.12e},"
-            f"{pe_2q:.12e},{constant},{int(feas_lo)},{int(feas_hi)}"
+            f"{pe_2q:.12e},{constant},{feasible},{feasible}"
         )
 
     lines = _metadata(config, "fig2")
@@ -414,15 +416,18 @@ def main(argv=None) -> int:
             text = cmd_fig3(config)
         else:
             text, status = cmd_validate(config)
+
+        if config.out:
+            try:
+                with open(config.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output {config.out}: {exc}") from exc
+        else:
+            sys.stdout.write(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return status
 
 

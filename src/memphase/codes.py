@@ -35,7 +35,7 @@ from .circuit import (
     tqc_encode,
 )
 from .correlation import PhaseCovariance, _check_damping, check_mu_feasible
-from .errors import DimensionMismatch, DomainError, FeasibilityWarning
+from .errors import DomainError, FeasibilityWarning
 
 __all__ = [
     "fe_single",
@@ -159,10 +159,6 @@ def fe_tqc_via_circuit(cov: PhaseCovariance) -> float:
     that order (``circuit.CODE_ORDER``), decodes, traces out the ancillas
     and evaluates the overlap with the ideal pair.
     """
-    if cov.n_uses != 3:
-        raise DimensionMismatch(
-            f"three-qubit code needs a 3-use covariance, got {cov.n_uses}"
-        )
     source = tqc_encode(prepare_bell_with_ancillas())
     rho = apply_channel(source.rho, cov, CODE_ORDER)
     return entanglement_fidelity(tqc_decode(JointState(rho)))

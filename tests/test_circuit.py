@@ -74,6 +74,23 @@ class TestGates:
         state[0b100] = 1.0
         np.testing.assert_allclose(u @ state, state, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_controlled_flips_permute_bitstrings(self, n):
+        # reference read from the binary strings of the indices, position 0 first
+        for gate in [cnot(c, t) for c in range(n) for t in range(n) if c != t] + [
+            toffoli(c1, c2, t)
+            for c1 in range(n)
+            for c2 in range(n)
+            for t in range(n)
+            if len({c1, c2, t}) == 3
+        ]:
+            u = gate_unitary(gate, n)
+            for i in range(1 << n):
+                bits = list(format(i, f"0{n}b"))
+                if all(bits[c] == "1" for c in gate.controls):
+                    bits[gate.target] = "1" if bits[gate.target] == "0" else "0"
+                assert np.array_equal(u[:, i], np.eye(1 << n)[int("".join(bits), 2)])
+
     def test_repeated_calls_share_one_read_only_array(self):
         u = gate_unitary(cnot(1, 2), 4)
         assert gate_unitary(cnot(1, 2), 4) is u
@@ -196,6 +213,27 @@ class TestPartialTrace:
     def test_matrix_of_another_register(self):
         with pytest.raises(DimensionMismatch, match="16 x 16"):
             partial_trace(np.eye(8) / 8, (0, 1), 4)
+
+
+class TestPositionChecks:
+    """The circuit layer reports bad positions with the channel's one check."""
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: partial_trace(np.eye(16) / 16, (1, 1), 4), r"duplicate .* \(1, 1\)$"),
+            (lambda: partial_trace(np.eye(16) / 16, (4,), 4), "4 outside register of 4 qubits$"),
+            (lambda: gate_unitary(cnot(0, 3), 3), "3 outside register of 3 qubits$"),
+            (
+                lambda: apply_pauli_z(prepare_bell_with_ancillas(), 4),
+                "4 outside register of 4 qubits$",
+            ),
+        ],
+        ids=["trace-duplicate", "trace-outside", "gate-outside", "pauli-z-outside"],
+    )
+    def test_message(self, call, message):
+        with pytest.raises(PositionOutOfRange, match=message):
+            call()
 
 
 class TestEntanglementFidelity:

@@ -125,6 +125,18 @@ class TestDecayCommand:
         with pytest.raises(ConfigError, match="labels"):
             cmd_decay(RunConfig(n_uses=3, labels="00:11"))
 
+    def test_label_length_is_checked_after_stripping(self):
+        # "01 " and " 01" have three characters but only two qubits each
+        with pytest.raises(ConfigError, match=r"'01 : 01' does not match n_uses=3"):
+            cmd_decay(RunConfig(n_uses=3, labels="01 : 01"))
+
+    def test_label_with_spaces_around_the_colon(self, tmp_path, capsys):
+        path = write_config(tmp_path, "labels = 000 : 111\n")
+        assert main(["decay", "--config", path]) == 0
+        expected = data_rows(cmd_decay(RunConfig(labels="000:111")))
+        assert data_rows(capsys.readouterr().out) == expected
+        assert expected[-1].startswith("000,111,")
+
     @pytest.mark.parametrize("labels", ["-01:111", "0b1:111", "+01:111", "0_1:111"])
     def test_label_bits_other_than_0_and_1_exit_code(self, tmp_path, capsys, labels):
         code = main(["decay", "--config", write_config(tmp_path, f"labels = {labels}\n")])
@@ -387,6 +399,19 @@ class TestMainEntry:
         code = main(["decay", "--config", path])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_config_not_utf8_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"spectrum = \xff\n")
+        code = main(["decay", "--config", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {path}:")
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["fig3", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write output {out}:")
 
     @pytest.mark.parametrize(
         "config_text",
