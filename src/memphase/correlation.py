@@ -7,10 +7,11 @@ zero-mean Gaussian with a Toeplitz covariance
     Sigma_{kk'} = eta^2 * mu_{|k-k'|},     eta^2 = Var(phi_k),  mu_0 = 1.
 
 Two independent construction routes are provided: the spectral kernel
-integral and a direct 2-D time-domain quadrature of the autocorrelation
-over the transit windows.  They must agree; the second exists purely as a
-cross-check of the first, and loads ``scipy.integrate`` on its first call,
-so importing this module needs no scipy beyond ``scipy.special``.
+integral and a 1-D time-domain quadrature of the autocorrelation, weighted
+by the overlap tau_p - |v| of two transit windows offset by v.  They must
+agree; the second exists purely as a cross-check of the first, and loads
+``scipy.integrate`` on its first call, so importing this module needs no
+scipy beyond ``scipy.special``.
 
 The scalar eta^2 fixes the single-use damping g = exp(-2*eta^2) and the
 single-use error probability epsilon = (1 - g)/2.
@@ -151,10 +152,9 @@ def covariance_from_spectrum(spec: PowerSpectrum, params: ChannelParams) -> Phas
     eta^2 overflows.
     """
     i0 = kernel_integral(spec, params.tau_p, 0.0)
-    if not (math.isfinite(i0) and i0 > 0.0):
-        raise DomainError(
-            f"kernel integral I(0) = {i0!r} at tau_p = {params.tau_p} is not positive and finite"
-        )
+    # kernel_integral rejects a value that is not finite
+    if not i0 > 0.0:
+        raise DomainError(f"kernel integral I(0) = {i0!r} at tau_p = {params.tau_p} is not positive")
     mu = np.ones(params.n_uses)
     for m in range(1, params.n_uses):
         mu[m] = kernel_integral(spec, params.tau_p, m * params.tau) / i0
@@ -162,42 +162,20 @@ def covariance_from_spectrum(spec: PowerSpectrum, params: ChannelParams) -> Phas
     return PhaseCovariance(eta_sq=params.coupling * params.coupling * i0, mu=mu)
 
 
-def _window_overlap_integral(
-    spec: PowerSpectrum,
-    t_lo: float,
-    t_hi: float,
-    s_lo: float,
-    s_hi: float,
-) -> float:
-    """int_{s_lo}^{s_hi} dt2 int_{t_lo}^{t_hi} dt1 C(t1 - t2), kink-aware."""
-    # imported on first use: scipy.integrate also loads scipy.optimize and
-    # scipy.sparse, and nothing but this cross-check route needs it
-    from scipy.integrate import quad
-
-    def inner(t2: float) -> float:
-        pts = [t2] if t_lo < t2 < t_hi else None
-        val, _ = quad(
-            lambda t1: autocorrelation(spec, t1 - t2),
-            t_lo,
-            t_hi,
-            points=pts,
-            epsabs=1e-13,
-            epsrel=1e-12,
-            limit=200,
-        )
-        return val
-
-    val, _ = quad(inner, s_lo, s_hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return val
-
-
 def covariance_from_autocorrelation(
     spec: PowerSpectrum, params: ChannelParams
 ) -> PhaseCovariance:
-    """Phase covariance by direct 2-D quadrature over the transit windows.
+    """Phase covariance by direct quadrature of the autocorrelation.
 
-    <phi_k phi_k'> = (lambda^2/4) * double integral of C(t1 - t2) over
-    [t_k, t_k + tau_p] x [t_k', t_k' + tau_p] with t_k = k*tau.
+    <phi_0 phi_m> = (lambda^2/4) * int_0^tau_p dt1 int_0^tau_p dt2
+    C(m*tau + t2 - t1).  Two windows of length tau_p overlap along a line of
+    length tau_p - |v| at offset v = t2 - t1, so the double integral is the
+    single triangle-weighted one
+
+        (lambda^2/4) * int_{-tau_p}^{tau_p} (tau_p - |v|) * C(m*tau + v) dv,
+
+    one quadrature per lag, taken in u = m*tau + v so that C is sampled at
+    its own argument however long the lag.
 
     Exists solely as an independent cross-check of the spectral route.
     White noise has no pointwise C(tau), so it raises
@@ -205,13 +183,28 @@ def covariance_from_autocorrelation(
     m = 0 entry) is not positive and finite, as for lambda = 0, since the
     correlations are then undefined.
     """
+    # imported on first use: scipy.integrate also loads scipy.optimize and
+    # scipy.sparse, and nothing but this cross-check route needs it
+    from scipy.integrate import quad
+
+    tau_p = params.tau_p
     lam2_4 = params.coupling * params.coupling / 4.0
     entries = np.empty(params.n_uses)
     for m in range(params.n_uses):
-        tm = m * params.tau
-        entries[m] = lam2_4 * _window_overlap_integral(
-            spec, 0.0, params.tau_p, tm, tm + params.tau_p
+        lag = m * params.tau
+        lo, hi = lag - tau_p, lag + tau_p
+        # the weight min(u - lo, hi - u) is tau_p - |v|, exact near either
+        # edge, and kinks at u = lag.  C peaks at u = 0, or at lo when the
+        # windows are apart; a decade grid on either side of that peak
+        # resolves any correlation time.
+        peak = max(0.0, lo)
+        graded = (peak + side * tau_p * 10.0**-k for k in range(13) for side in (-1.0, 1.0))
+        points = sorted({lag, *(u for u in graded if lo < u < hi)})
+        val, _ = quad(
+            lambda u: min(u - lo, hi - u) * autocorrelation(spec, u),
+            lo, hi, points=points, epsabs=1e-13, epsrel=1e-12, limit=1000,
         )
+        entries[m] = lam2_4 * val
     variance = float(entries[0])
     if not (math.isfinite(variance) and variance > 0.0):
         raise DomainError(

@@ -156,8 +156,8 @@ class OneOverF(_ThreePieceKernel):
         t = abs(tau)
         if t == 0.0:
             return self.amplitude / math.pi * math.log(self.omega_max / self.omega_min)
-        ci_hi = sici(self.omega_max * t)[1]
-        ci_lo = sici(self.omega_min * t)[1]
+        ci_hi = float(sici(self.omega_max * t)[1])
+        ci_lo = float(sici(self.omega_min * t)[1])
         return self.amplitude / math.pi * (ci_hi - ci_lo)
 
     def piece(self, a: float) -> float:
@@ -168,9 +168,8 @@ class OneOverF(_ThreePieceKernel):
             # F' = (1 - cos aw)/w^3, with 1 - cos x written as 2 sin^2(x/2)
             x = a * w
             half = math.sin(0.5 * x)
-            return (
-                -half * half / (w * w) - a * math.sin(x) / (2.0 * w) + 0.5 * a * a * sici(x)[1]
-            )
+            ci = float(sici(x)[1])
+            return -half * half / (w * w) - a * math.sin(x) / (2.0 * w) + 0.5 * a * a * ci
 
         return self.amplitude / _TWO_PI * (
             antiderivative(self.omega_max) - antiderivative(self.omega_min)
@@ -199,7 +198,8 @@ def kernel_integral(spec: PowerSpectrum, tau_p: float, delta: float) -> float:
     """Windowed phase-covariance kernel I(delta), in closed form.
 
     I(delta) = (1/2pi) int_0^inf S(w) (1-cos(w tau_p))/w^2 cos(w delta) dw.
-    A closed form that leaves the float range raises ``DomainError``.
+    A closed form that leaves the float range, or gives a value that is not
+    finite, raises ``DomainError``.
 
     Parameters
     ----------
@@ -213,6 +213,9 @@ def kernel_integral(spec: PowerSpectrum, tau_p: float, delta: float) -> float:
     if not tau_p > 0.0:
         raise DomainError(f"tau_p must be positive, got {tau_p}")
     try:
-        return spec.kernel(tau_p, abs(delta))
+        value = spec.kernel(tau_p, abs(delta))
     except (ArithmeticError, ValueError) as exc:
         raise DomainError(f"kernel integral of {spec!r} at lag {delta} failed: {exc}") from exc
+    if not math.isfinite(value):
+        raise DomainError(f"kernel integral of {spec!r} at lag {delta} is {value!r}, not finite")
+    return value

@@ -10,6 +10,7 @@ import pytest
 from memphase.cli import (
     RunConfig,
     _suite_mc_fidelity,
+    _suite_route_equivalence,
     cmd_decay,
     cmd_fig2,
     cmd_fig3,
@@ -28,6 +29,10 @@ FLOAT_RANGE_CONFIGS = {
     "omega_min-tiny": "spectrum = one_over_f\nomega_min = 1e-300\n",
     "omega_max-inf": "spectrum = one_over_f\nomega_max = inf\n",
     "omega_max-huge": "spectrum = one_over_f\nomega_max = 1e300\ntau = 1e9\n",
+    "one_over_f-tau-huge": "spectrum = one_over_f\ntau = 1e300\n",
+    "amplitude-huge": (
+        "spectrum = one_over_f\namplitude = 1e300\nomega_min = 1e-12\ntau_p = 1e8\ntau = 1e8\n"
+    ),
 }
 
 
@@ -374,6 +379,11 @@ class TestValidateCommand:
             "PASS route_equivalence: spectral vs time-domain covariance of "
             "Lorentzian(variance=1.0, rate=1.0) in place of white: "
         )
+
+    def test_route_check_resolves_correlation_time_far_below_window(self):
+        # white stands in as Lorentzian(1, 1), so rate * tau_p = 1e8
+        ok, detail = _suite_route_equivalence(RunConfig(spectrum="white", tau_p=1e8, tau=1e8))
+        assert ok, detail
 
     @pytest.mark.parametrize("seed", [25, 26])
     def test_mc_fidelity_passes_on_high_z_seeds(self, seed):

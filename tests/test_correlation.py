@@ -199,6 +199,28 @@ class TestTimeDomainRoute:
         assert c_time.eta_sq == pytest.approx(c_spec.eta_sq, rel=1e-7)
         np.testing.assert_allclose(c_time.mu, c_spec.mu, rtol=0.0, atol=1e-7)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "spec,spacing",
+        [
+            pytest.param(Lorentzian(1.0, x / 0.5), k, id=f"lorentzian-{x:g}-tau={k:g}tau_p")
+            for x in (1e-2, 1.0, 1e2, 1e4, 1e6)
+            for k in (1.0, 3.0)
+        ]
+        + [
+            pytest.param(OneOverF(1.0, 0.1, x / 0.5), 1.0, id=f"one_over_f-{x:g}")
+            for x in (10.0, 1e2, 1e3)
+        ],
+    )
+    def test_routes_agree_from_slow_to_fast_drive(self, spec, spacing):
+        # correlation times from far above to far below the window tau_p = 0.5: the
+        # id gives rate * tau_p or omega_max * tau_p
+        params = ChannelParams(1.0, 0.5, spacing * 0.5, 3)
+        c_spec = covariance_from_spectrum(spec, params)
+        c_time = covariance_from_autocorrelation(spec, params)
+        assert c_time.eta_sq == pytest.approx(c_spec.eta_sq, rel=1e-10, abs=0.0)
+        np.testing.assert_allclose(c_time.mu, c_spec.mu, rtol=0.0, atol=1e-10)
+
     @pytest.mark.parametrize("coupling", [0.0, 1e200])
     def test_rejects_variance_that_is_zero_or_overflows(self, coupling):
         # lambda = 0 gives entries[0] = 0, and the correlations would be 0/0

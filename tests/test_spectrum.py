@@ -1,6 +1,7 @@
 """Drive spectra, autocorrelations, and the windowed kernel integral."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,17 @@ class TestKernelIntegral:
     def test_float_range_failure_names_spectrum_and_lag(self, spec, delta):
         with pytest.raises(DomainError, match=rf"{type(spec).__name__}\(.*at lag {delta}"):
             kernel_integral(spec, 1.0, delta)
+
+    @pytest.mark.parametrize(
+        "spec,tau_p,delta",
+        [(OneOverF(1.0, 0.1, 10.0), 1.0, 1e300), (OneOverF(1e300, 1e-12, 10.0), 1e8, 0.0)],
+        ids=["lag-huge", "amplitude-huge"],
+    )
+    def test_non_finite_value_raises(self, spec, tau_p, delta):
+        # no step raises, but a piece J(a) overflows: I is inf - inf = nan, or inf
+        lag = re.escape(f"at lag {delta} is ")
+        with pytest.raises(DomainError, match=rf"OneOverF\(.*{lag}(nan|inf), not finite"):
+            kernel_integral(spec, tau_p, delta)
 
     def test_white_at_zero_lag(self):
         # int_0^inf (1-cos a w)/w^2 dw = pi a / 2  =>  I(0) = S0 tau_p / 4
