@@ -33,10 +33,69 @@ nowhere else.  The checks run in this order:
    blocks at and right of the diagonal give the same maximum as the whole
    matrix.  Up to b rows this is one pass over the whole matrix;
 3. the trace, to TRACE_ATOL;
-4. positivity, by a Cholesky factorization of m - EIGENVALUE_FLOOR * I,
-   which exists exactly when every eigenvalue lies above the floor.  The
-   shift is applied in place to the diagonal of one copy of m.  The
-   eigenvalues themselves are computed only when the factorization fails.
+4. positivity.  A channel output whose positivity the covariance proves
+   (below) is not factored.  Every other matrix is, by a Cholesky
+   factorization of m - EIGENVALUE_FLOOR * I, which exists exactly when
+   every eigenvalue lies above the floor.  The shift is applied in place to
+   the diagonal of one copy of m.  The eigenvalues themselves are computed
+   only when the factorization fails.  Both read the lower triangle, so the
+   matrix judged is the Hermitian completion of that triangle.
+
+Positivity of the channel output from the covariance.  With c = -ln g >= 0
+and T positive semidefinite,
+
+    D_jl = exp(-c (b_l - b_j)^T T (b_l - b_j)) = E[exp(i (b_l - b_j) . psi)]
+
+is the characteristic function of a Gaussian psi ~ N(0, 2cT), so D is the
+Gram matrix E[u u^H] of u_j = exp(-i b_j . psi).  By the Schur product
+theorem, with lambda = min(lambda_min(rho), 0), (rho - lambda I) o D is PSD,
+and since D_jj = 1, rho o D >= lambda I.  Two bounds carry this over to the
+computed output (u = eps/2 is the unit roundoff; rho and the output are
+read, like the factorization reads them, as the Hermitian completions of
+their lower triangles):
+
+* T is PSD exactly.  ``eigvalsh`` returns the eigenvalues of T + dT with
+  ||dT||_2 <= p(N) u ||T||_2, p a modest function of N, and ||T||_2 <= N
+  since |mu| <= 1.  So ``cov.min_eigenvalue`` > N^2 eps (p(N) = 2N) gives
+  lambda_min(T) > 0 by Weyl's inequality.
+* Rounding cannot cross the floor.  Let A = B |T| B^T (M itself when every
+  mu >= 0, else one more product) and W_jl = A_jj + A_ll + 2 A_jl.  The two
+  N-term products, the sum and the difference give |E^_jl - E_jl| <=
+  gamma W_jl, gamma = 2 (N + 3) eps: twice gamma_{2N+3} / (1 - gamma_{2N}),
+  the divisor because A is itself computed.  With x_jl = c gamma W_jl <=
+  4 c gamma N^2 <= 1 (checked), exp(x) - 1 <= 2x, and ``np.power`` within
+  one ulp, or within tau = 2^-1022 where it underflows,
+
+      |D^_jl - D_jl| <= F_jl = (2 x_jl + 3u) D^_jl + 3 tau.
+
+  The completed error X of D^ has |X| <= F + F^T entrywise and a zero
+  diagonal (D^_jj = D_jj = 1), so rho o X = (rho - lambda I) o X.  A PSD
+  matrix has |entry_jl| <= sqrt(entry_jj entry_ll); with v_j =
+  sqrt(rho_jj - EIGENVALUE_FLOOR) (rho validated down to the floor),
+
+      ||rho o X||_2 <= ||diag(v) (F + F^T) diag(v)||_2
+                    <= max_j v_j sum_l (F + F^T)_jl v_l.
+
+  The rounding of the product rho_jl D^_jl, at most u |rho_jl| D^_jl with
+  D^ <= e, adds at most 2 eps S in norm, S = sum_j v_j^2 <= 1 + TRACE_ATOL
+  + dim |EIGENVALUE_FLOOR|.  Hence
+
+      lambda_min(out) >= lambda - epsilon,
+      epsilon = max_j v_j sum_l (F + F^T)_jl v_l + 2 eps S,
+
+  which ``_rounding_bound`` evaluates in floating point, to a relative
+  accuracy near dim u.  It first tries the scalar bound 2 f sqrt(dim) S +
+  2 eps S, with f >= F_jl from x_jl <= 4 c gamma N^2 and sum_l v_l <=
+  sqrt(dim S); that settles small registers without touching an array.
+
+  The output is accepted without factoring when epsilon <
+  |EIGENVALUE_FLOOR| / 2.  A PSD input (every state the package builds, to
+  rounding far below the floor) then gives an output above
+  EIGENVALUE_FLOOR / 2, which the factorization accepts too; an input
+  validated nearer the floor than that keeps its own margin less epsilon.
+  A covariance accepted only within PSD_TOLERANCE, a singular T (mu1 = mu2
+  = 1, the lower mu2 band edge), a g that underflows to 0, and a bound too
+  loose to pass leave the output to the factorization.
 
 Register convention: qubit position 0 is the most significant bit of the
 basis index (leftmost factor of the tensor product), and a list of positions
@@ -48,6 +107,7 @@ position check, for the channel and the circuit layer alike.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +127,8 @@ HERMITICITY_ATOL = 1e-12
 HERMITICITY_BLOCK = 64
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _basis_bits(indices, n_qubits: int, positions) -> np.ndarray:
@@ -141,16 +203,36 @@ class CoherenceLabel:
         return self.j == self.l
 
 
+@dataclass(frozen=True)
+class _Handover:
+    """A fresh complex array that ``apply_channel`` gives to a DensityMatrix.
+
+    The array is kept without a copy, since nothing else holds it, and
+    ``positive`` says whether its positivity is already proven.  It travels
+    as the matrix argument, so the constructor keeps its public signature.
+    """
+
+    array: np.ndarray
+    positive: bool
+
+
 class DensityMatrix:
     """Dense 2^n x 2^n density operator with validated invariants.
 
     Immutable: the matrix is a read-only array and the attribute cannot be rebound.
+    With ``validate=False`` the caller vouches that the matrix is a density
+    matrix (finite, Hermitian, of unit trace and positive semidefinite): it
+    is stored unchecked, and ``apply_channel``'s positivity proof relies on
+    it.
     """
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, *, validate: bool = True):
-        m = np.array(matrix, dtype=complex)
+        if isinstance(matrix, _Handover):
+            m, positive = matrix.array, matrix.positive
+        else:
+            m, positive = np.array(matrix, dtype=complex), False
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
         dim = m.shape[0]
@@ -165,18 +247,19 @@ class DensityMatrix:
                 raise ValueError("density matrix is not Hermitian")
             if abs(m.trace() - 1.0) > TRACE_ATOL:
                 raise ValueError(f"density matrix trace {m.trace():.15f} != 1")
-            shifted = m.copy()
-            shifted.flat[:: dim + 1] -= EIGENVALUE_FLOOR
-            try:
-                np.linalg.cholesky(shifted)
-            except np.linalg.LinAlgError:
-                # the factorization can also break down on rounding right at
-                # the floor; the eigenvalues decide then
-                w = np.linalg.eigvalsh(m)
-                if w[0] < EIGENVALUE_FLOOR:
-                    raise NotPositiveSemidefinite(
-                        f"density matrix has eigenvalue {w[0]:.3e}"
-                    ) from None
+            if not positive:
+                shifted = m.copy()
+                shifted.flat[:: dim + 1] -= EIGENVALUE_FLOOR
+                try:
+                    np.linalg.cholesky(shifted)
+                except np.linalg.LinAlgError:
+                    # the factorization can also break down on rounding right
+                    # at the floor; the eigenvalues decide then
+                    w = np.linalg.eigvalsh(m)
+                    if w[0] < EIGENVALUE_FLOOR:
+                        raise NotPositiveSemidefinite(
+                            f"density matrix has eigenvalue {w[0]:.3e}"
+                        ) from None
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -248,15 +331,50 @@ def decay_factor(label: CoherenceLabel, cov: PhaseCovariance) -> float:
     return _decay_factor_and_exponent(label, cov)[0]
 
 
-def _decay_matrix(dim: int, n_qubits: int, cov: PhaseCovariance, which) -> np.ndarray:
-    """D_jl = g ** (q_j + q_l - 2 M_jl) with M = B T B^T and q = diag(M)."""
-    b = _basis_bits(np.arange(dim), n_qubits, which).astype(float)  # (dim, N)
-    m = (b @ cov.mu_matrix) @ b.T
+def _decay_matrix(bits: np.ndarray, cov: PhaseCovariance) -> tuple[np.ndarray, np.ndarray]:
+    """(D, 2M): D_jl = g ** (q_j + q_l - 2 M_jl) with M = B T B^T and q = diag(M)."""
+    m = (bits @ cov.mu_matrix) @ bits.T
     q = np.diag(m)  # a view of m: read before m is scaled in place
     exponents = q[:, None] + q[None, :]
     m *= 2.0
     exponents -= m
-    return np.power(cov.g, exponents, out=exponents)
+    return np.power(cov.g, exponents, out=exponents), m
+
+
+def _rounding_bound(
+    rho: DensityMatrix, cov: PhaseCovariance, bits: np.ndarray, m2: np.ndarray, d: np.ndarray
+) -> float:
+    """Bound epsilon (module docstring) on how far rounding lowers lambda_min(rho o D).
+
+    ``m2`` is 2 B T B^T and ``d`` the decay matrix, as ``_decay_matrix``
+    returns them; ``m2`` may be overwritten.  Infinite where the bound does
+    not apply (4 c gamma N^2 > 1).  The scalar bound comes first; the
+    weighted row sums are formed only when it exceeds |EIGENVALUE_FLOOR| / 2.
+    """
+    n, dim = cov.n_uses, d.shape[0]
+    gamma = 2.0 * (n + 3) * _EPS
+    rate = -math.log(cov.g) if cov.g > 0.0 else math.inf
+    x_max = rate * gamma * 4.0 * n * n
+    if not x_max <= 1.0:
+        return math.inf
+    # every F_jl is at most f_max, and sum_l v_l <= sqrt(dim sum_l v_l^2)
+    f_max = (2.0 * x_max + 1.5 * _EPS) * math.exp(x_max) * (1.0 + _EPS) + 3.0 * _TINY
+    v_sq_sum = 1.0 + TRACE_ATOL - dim * EIGENVALUE_FLOOR
+    product = 2.0 * _EPS * v_sq_sum
+    scalar = 2.0 * f_max * math.sqrt(dim) * v_sq_sum + product
+    if scalar < 0.5 * abs(EIGENVALUE_FLOOR):
+        return scalar
+    a2 = m2 if cov.mu.min() >= 0.0 else 2.0 * ((bits @ np.abs(cov.mu_matrix)) @ bits.T)
+    # F = (2 rate gamma W + 3u) o D + 3 tau with W_jl = h_j + h_l + 2 A_jl and
+    # h = diag(A); the sums over l of (F + F^T)_jl v_l, without forming W or F
+    h = 0.5 * np.diag(a2)
+    wd = np.multiply(a2, d, out=a2)
+    v = np.sqrt(np.diag(rho.matrix).real - EIGENVALUE_FLOOR)
+    hv = h * v
+    dv, vd = d @ v, v @ d
+    w_sums = h * (dv + vd) + d @ hv + hv @ d + wd @ v + v @ wd
+    sums = 2.0 * rate * gamma * w_sums + 1.5 * _EPS * (dv + vd) + 6.0 * _TINY * v.sum()
+    return float((v * sums).max()) + product
 
 
 def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMatrix:
@@ -267,9 +385,18 @@ def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMat
     ordering given here.  Spectator qubits are untouched.  Every coherence
     is scaled by g ** E_jl, with the exponents of all pairs taken from the
     quadratic form q_j + q_l - 2 (B T B^T)_jl (see the module docstring).
-    Trace, Hermiticity and positivity are preserved in exact arithmetic, but
-    a covariance accepted within PSD_TOLERANCE can still give non-finite or
-    negative-eigenvalue output, so the output is validated in full.
+
+    In exact arithmetic the decay matrix is a Gram matrix when T is PSD, so
+    by the Schur product theorem the output is positive whenever rho is.
+    The output is checked for finiteness, Hermiticity and trace.  Its
+    positivity is taken as proven when ``cov.min_eigenvalue`` exceeds the
+    backward-error margin N^2 eps of ``eigvalsh`` and a bound on how far
+    the rounding of D can move the output's eigenvalues (weighted rows of
+    the entrywise error, see the module docstring) lies below
+    |EIGENVALUE_FLOOR| / 2.  Otherwise (a covariance accepted within
+    PSD_TOLERANCE, a singular T, a loose bound) the output is factored like
+    any other.  The proof assumes rho is a density matrix: for a state
+    built with ``validate=False`` the caller vouches for that.
     """
     which = tuple(int(p) for p in which)
     n = rho.n_qubits
@@ -278,8 +405,17 @@ def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMat
             f"{len(which)} transmitted qubits but covariance has {cov.n_uses} uses"
         )
     _check_positions(which, n)
+    bits = _basis_bits(np.arange(rho.dim), n, which).astype(float)  # (dim, N)
     # an infinite or NaN entry is reported by the output validation, not
     # as a numpy warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = rho.matrix * _decay_matrix(rho.dim, n, cov, which)
-    return DensityMatrix(out)
+        d, m2 = _decay_matrix(bits, cov)
+        out = rho.matrix * d
+        # T is PSD beyond the backward error of eigvalsh, and rounding in D
+        # cannot carry the output's smallest eigenvalue across the floor
+        positive = (
+            cov.min_eigenvalue > cov.n_uses**2 * _EPS
+            and _rounding_bound(rho, cov, bits, m2, d) < 0.5 * abs(EIGENVALUE_FLOOR)
+        )
+    del d, m2  # freed before a factorization allocates its two copies
+    return DensityMatrix(_Handover(out, positive))

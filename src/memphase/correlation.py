@@ -10,8 +10,8 @@ Two independent construction routes are provided: the spectral kernel
 integral and a 1-D time-domain quadrature of the autocorrelation, weighted
 by the overlap tau_p - |v| of two transit windows offset by v.  They must
 agree; the second exists purely as a cross-check of the first, and loads
-``scipy.integrate`` on its first call, so importing this module needs no
-scipy beyond ``scipy.special``.
+``scipy.integrate`` on its first call, so importing this module loads no
+scipy.
 
 The scalar eta^2 fixes the single-use damping g = exp(-2*eta^2) and the
 single-use error probability epsilon = (1 - g)/2.
@@ -83,13 +83,15 @@ class PhaseCovariance:
     """Gaussian phase statistics for N channel uses.
 
     Stores the variance eta^2, the correlation coefficients by lag
-    (mu[0] = 1) and their Toeplitz matrix T_kk' = mu_|k-k'|, built once and
-    read-only.
+    (mu[0] = 1), their Toeplitz matrix T_kk' = mu_|k-k'|, built once and
+    read-only, and the smallest eigenvalue of T as ``eigvalsh`` computes it
+    when the covariance is checked.
     """
 
     eta_sq: float
     mu: np.ndarray = field(repr=False)
     mu_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    min_eigenvalue: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.eta_sq) and self.eta_sq >= 0.0):
@@ -116,6 +118,7 @@ class PhaseCovariance:
 
     def _check_psd(self):
         w = np.linalg.eigvalsh(self.mu_matrix)
+        object.__setattr__(self, "min_eigenvalue", float(w[0]))
         if w[0] < -PSD_TOLERANCE:
             raise NotPositiveSemidefinite(
                 f"phase covariance has negative eigenvalue {w[0] * self.eta_sq:.3e} "

@@ -33,15 +33,15 @@ and every built-in spectrum has them in closed form:
   F(w) = -(1 - cos aw)/(2w^2) - a*sin(aw)/(2w) + (a^2/2)*Ci(aw).
 
 Each spectrum class carries its own formulas; the module-level functions
-delegate to them.
+delegate to them.  Only the 1/f formulas need scipy (the cosine integral
+Ci), which loads on their first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-from scipy.special import sici
 
 from .errors import DomainError, WhiteNoiseUndefined
 
@@ -56,6 +56,15 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+
+@functools.cache
+def _sici():
+    """scipy.special.sici, imported once on first use: importing
+    scipy.special costs more than the rest of the package together."""
+    from scipy.special import sici
+
+    return sici
 
 
 class _ThreePieceKernel:
@@ -156,6 +165,7 @@ class OneOverF(_ThreePieceKernel):
         t = abs(tau)
         if t == 0.0:
             return self.amplitude / math.pi * math.log(self.omega_max / self.omega_min)
+        sici = _sici()
         ci_hi = float(sici(self.omega_max * t)[1])
         ci_lo = float(sici(self.omega_min * t)[1])
         return self.amplitude / math.pi * (ci_hi - ci_lo)
@@ -163,6 +173,7 @@ class OneOverF(_ThreePieceKernel):
     def piece(self, a: float) -> float:
         if a == 0.0:
             return 0.0
+        sici = _sici()
 
         def antiderivative(w: float) -> float:
             # F' = (1 - cos aw)/w^3, with 1 - cos x written as 2 sin^2(x/2)

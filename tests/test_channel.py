@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,10 @@ from memphase.channel import (
     HERMITICITY_BLOCK,
     CoherenceLabel,
     DensityMatrix,
+    _basis_bits,
+    _decay_matrix,
     _hermiticity_defect,
+    _rounding_bound,
     apply_channel,
     decay_exponent,
     decay_factor,
@@ -331,6 +335,168 @@ class TestApplyChannelProperties:
             ]
         )
         np.testing.assert_allclose(m / rho.matrix, memoryless.g**flips, rtol=0, atol=1e-12)
+
+
+def random_state_vector(seed, dim):
+    return np.array([1.0, 1j]) @ np.random.default_rng(seed).normal(size=(2, dim))
+
+
+def reference_output(rho, cov, which):
+    """rho o D with D formed as the channel always has: g ** (q_j + q_l - 2 M_jl)."""
+    n = rho.n_qubits
+    shifts = np.array([n - 1 - p for p in which])
+    b = ((np.arange(rho.dim)[:, None] >> shifts) & 1).astype(float)
+    m = (b @ cov.mu_matrix) @ b.T
+    q = np.diag(m)
+    exponents = q[:, None] + q[None, :]
+    m *= 2.0
+    exponents -= m
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return rho.matrix * np.power(cov.g, exponents, out=exponents)
+
+
+def full_check_verdict(m):
+    """Error type the full validation (factoring every matrix) raises on m, or None."""
+    if not np.isfinite(m).all():
+        return ValueError
+    if np.abs(m - m.conj().T).max() > 1e-12 or abs(m.trace() - 1.0) > 1e-12:
+        return ValueError
+    shifted = m.copy()
+    shifted.flat[:: m.shape[0] + 1] += 1e-10
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        if np.linalg.eigvalsh(m)[0] < -1e-10:
+            return NotPositiveSemidefinite
+    return None
+
+
+@st.composite
+def certificate_cases(draw):
+    """(rho, cov, which) over the kinds of T the positivity decision tells apart.
+
+    A well-conditioned T (AR(1) mixture with |r| <= 0.9, so lambda_min(T) >=
+    0.05), a singular T on the lower mu2 band edge (mu1 = 1 included), and a
+    T accepted within PSD_TOLERANCE with a negative eigenvalue; states of
+    every rank, eta^2 from 0 (g = 1) to 400.
+    """
+    kind = draw(st.sampled_from(["well-conditioned", "band-edge", "tolerance-accepted"]))
+    if kind == "well-conditioned":
+        n_uses = draw(st.integers(1, 5))
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2)))
+        rates = np.array(draw(st.lists(st.floats(-0.9, 0.9), min_size=2, max_size=2)))
+        mu = [1.0] + [float(weights @ rates**m / weights.sum()) for m in range(1, n_uses)]
+    elif kind == "band-edge":
+        mu1 = draw(st.sampled_from([1.0, 0.5 ** 0.5]) | st.floats(0.0, 1.0))
+        mu = [1.0, mu1, max(0.0, 2.0 * mu1 * mu1 - 1.0)]
+    else:
+        mu = [1.0, 0.5, -0.5 - draw(st.floats(1e-12, 1.4e-10))]
+    eta_sq = draw(st.sampled_from([0.0, 20.0, 400.0]) | st.floats(0.0, 400.0))
+    cov = PhaseCovariance(eta_sq=eta_sq, mu=mu)
+    n = draw(st.integers(len(mu), 5))
+    which = tuple(draw(st.permutations(range(n)))[: len(mu)])
+    dim = 1 << n
+    rank = draw(st.sampled_from([1, dim]) | st.integers(1, dim))
+    state_rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = state_rng.normal(size=(dim, rank)) + 1j * state_rng.normal(size=(dim, rank))
+    m = a @ a.conj().T
+    return DensityMatrix(m / m.trace()), cov, which
+
+
+class TestPositivityCertificate:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(certificate_cases())
+    def test_same_verdict_and_bits_as_factoring_every_output(self, case):
+        rho, cov, which = case
+        expected = reference_output(rho, cov, which)
+        verdict = full_check_verdict(expected)
+        if verdict is None:
+            out = apply_channel(rho, cov, which).matrix
+            assert np.array_equal(out, expected)
+        else:
+            with pytest.raises(ValueError) as raised:
+                apply_channel(rho, cov, which)
+            assert type(raised.value) is verdict
+
+    @staticmethod
+    def count_factorizations(monkeypatch):
+        calls = []
+        original = np.linalg.cholesky
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "mu, factorizations",
+        [
+            (0.6 ** np.arange(10), 0),
+            (np.ones(10), 1),  # singular T: every mu_m = 1
+            ([1.0, 0.5, -0.5 - 1e-11], 1),  # lambda_min(T) ~ -7e-12
+        ],
+        ids=["well-conditioned", "singular", "tolerance-accepted"],
+    )
+    def test_factors_a_ten_qubit_output_only_when_t_does_not_prove_it(
+        self, monkeypatch, mu, factorizations
+    ):
+        rho = DensityMatrix.from_state_vector(random_state_vector(11, 1024))
+        cov = PhaseCovariance.from_damping(0.3, mu)
+        which = range(len(mu))
+        calls = self.count_factorizations(monkeypatch)
+        out = apply_channel(rho, cov, which)
+        assert calls == [(1024, 1024)] * factorizations
+        assert np.array_equal(out.matrix, reference_output(rho, cov, which))
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double"
+    )
+    def test_rounding_bound_covers_the_rounding_of_d(self, rng):
+        # |D^ - D| against D in extended precision, as the lower triangle's
+        # Hermitian completion that the factorization would read, weighted
+        # by v_j = sqrt(rho_jj + |floor|) as the bound on ||rho o (D^ - D)||
+        for trial in range(60):
+            n = int(rng.integers(1, 8))
+            k = int(rng.integers(1, n + 1))
+            which = list(rng.permutation(n)[:k])
+            weights, rates = rng.dirichlet(np.ones(3)), rng.uniform(-1.0, 1.0, 3)
+            mu = [1.0] + [float(weights @ rates**m) for m in range(1, k)]
+            cov = PhaseCovariance.from_damping(float(10.0 ** rng.uniform(-300.0, 0.0)), mu)
+            if trial % 2:
+                rho = random_density_matrix(rng, n)
+            else:
+                rho = DensityMatrix.from_state_vector(random_state_vector(trial, 1 << n))
+            bits = _basis_bits(np.arange(1 << n), n, which).astype(float)
+            d, m2 = _decay_matrix(bits, cov)
+            bound = _rounding_bound(rho, cov, bits, m2, d)
+            bl, tl = bits.astype(np.longdouble), cov.mu_matrix.astype(np.longdouble)
+            ml = bl @ tl @ bl.T
+            ql = np.diag(ml)
+            exact = np.longdouble(cov.g) ** (ql[:, None] + ql[None, :] - 2 * ml)
+            err = np.abs(d - exact)
+            completion = np.tril(err) + np.tril(err, -1).T
+            v = np.sqrt(np.diag(rho.matrix).real + 1e-10)
+            assert float((v * (completion @ v)).max()) <= bound < np.inf
+
+    @pytest.mark.parametrize(
+        "mu, outputs", [(0.6 ** np.arange(10), 2.5), (np.ones(10), 3.5)], ids=["proven", "factored"]
+    )
+    def test_output_is_not_copied(self, mu, outputs):
+        # peak traced memory of one ten-qubit call, in units of the 16 MiB
+        # output: the product and two float (dim, dim) arrays when positivity
+        # is proven; the product, its shifted copy and the Cholesky factor
+        # when it is factored; a copy of the product would add one more
+        rho = DensityMatrix.from_state_vector(random_state_vector(12, 1024))
+        cov = PhaseCovariance.from_damping(0.3, mu)
+        tracemalloc.start()
+        try:
+            apply_channel(rho, cov, range(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < outputs * rho.matrix.nbytes
 
 
 class TestDensityMatrix:

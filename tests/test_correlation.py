@@ -77,6 +77,17 @@ class TestPhaseCovariance:
         assert t.flags.c_contiguous
         assert not t.flags.writeable
 
+    @pytest.mark.parametrize(
+        "mu",
+        [[1.0], [1.0, 0.5, 0.2], [1.0, 1.0, 1.0], [1.0, 0.5, -0.5 - 1e-11], 0.7 ** np.arange(32)],
+    )
+    def test_min_eigenvalue_is_the_smallest_eigenvalue_of_t(self, mu):
+        cov = PhaseCovariance(eta_sq=1.0, mu=np.array(mu))
+        assert cov.min_eigenvalue == np.linalg.eigvalsh(cov.mu_matrix)[0]
+        assert isinstance(cov.min_eigenvalue, float)
+        with pytest.raises(AttributeError):
+            cov.min_eigenvalue = 1.0
+
     def test_rejects_non_unit_leading_mu(self):
         with pytest.raises(DomainError):
             PhaseCovariance(eta_sq=1.0, mu=np.array([0.9, 0.5]))

@@ -1,5 +1,8 @@
 """Importing memphase and running its closed-form commands load no heavy scipy.
 
+scipy.special loads only for the 1/f spectrum's cosine integral, and the
+time-domain cross-check route loads scipy.integrate.
+
 The check runs in a fresh interpreter: the test process itself has long
 since loaded scipy.linalg and scipy.integrate through other test modules.
 """
@@ -32,8 +35,9 @@ from memphase import (
 from memphase.cli import RunConfig, cmd_decay, cmd_fig2, cmd_fig3
 from memphase.spectrum import Lorentzian
 
-# scipy subpackages that only the time-domain cross-check route may load
-HEAVY = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+# scipy subpackages that only the 1/f spectrum and the time-domain
+# cross-check route may load
+HEAVY = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special")
 
 
 def loaded():
