@@ -108,6 +108,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,10 +137,14 @@ def _basis_bits(indices, n_qubits: int, positions) -> np.ndarray:
 
     Position 0 is the most significant bit.  The result has shape
     ``np.shape(indices) + (len(positions),)``, one column per position in
-    the order given.
+    the order given.  A single Python int is read with Python shifts, exact
+    at any register width; an array of indices with int64 shifts, so on
+    registers of at most 63 qubits.
     """
-    shifts = np.array([n_qubits - 1 - p for p in positions], dtype=np.int64)
-    bits = (np.asarray(indices)[..., None] >> shifts) & 1
+    shifts = [n_qubits - 1 - p for p in positions]
+    if isinstance(indices, int):
+        return np.array([(indices >> k) & 1 for k in shifts], dtype=np.int64)
+    bits = (np.asarray(indices)[..., None] >> np.array(shifts, dtype=np.int64)) & 1
     return bits.astype(np.int64, copy=False)
 
 
@@ -187,14 +192,15 @@ class CoherenceLabel:
         # int(x, 2) alone also takes a sign, a 0b prefix and underscores
         if not set(j + l) <= {"0", "1"}:
             raise DomainError(f"bitstrings must be made of 0 and 1, got {j!r}, {l!r}")
-        return cls(int(j, 2), int(l, 2), len(j))
+        # a leading 0 changes no value, and reads the empty 0-qubit label as 0
+        return cls(int("0" + j, 2), int("0" + l, 2), len(j))
 
     @functools.cached_property
     def s(self) -> np.ndarray:
         """Weights s_k = l_k - j_k per qubit position (computed once, read-only)."""
-        # object dtype keeps the shifts exact on registers wider than 63 qubits
-        pair = np.array([self.l, self.j], dtype=object)
-        s = np.subtract(*_basis_bits(pair, self.n_qubits, range(self.n_qubits)))
+        positions = range(self.n_qubits)
+        s = _basis_bits(operator.index(self.l), self.n_qubits, positions)
+        s -= _basis_bits(operator.index(self.j), self.n_qubits, positions)
         s.flags.writeable = False
         return s
 
@@ -297,14 +303,19 @@ class DensityMatrix:
         return cls(np.outer(v, v.conj()), validate=False)
 
 
-def decay_exponent(label: CoherenceLabel, cov: PhaseCovariance) -> float:
-    """Damping power E = sum s_k^2 + 2 sum_{k>k'} s_k s_k' mu_{k-k'}, >= 0."""
+def _float_weights(label: CoherenceLabel, cov: PhaseCovariance) -> np.ndarray:
+    """The label's weights s as floats, once its size is checked against the covariance."""
     if label.n_qubits != cov.n_uses:
         raise DimensionMismatch(
             f"label has {label.n_qubits} qubits but covariance has "
             f"{cov.n_uses} uses"
         )
-    s = label.s.astype(float)
+    return label.s.astype(float)
+
+
+def decay_exponent(label: CoherenceLabel, cov: PhaseCovariance) -> float:
+    """Damping power E = sum s_k^2 + 2 sum_{k>k'} s_k s_k' mu_{k-k'}, >= 0."""
+    s = _float_weights(label, cov)
     return float(s @ cov.mu_matrix @ s)
 
 
@@ -312,8 +323,8 @@ def _decay_factor_and_exponent(
     label: CoherenceLabel, cov: PhaseCovariance
 ) -> tuple[float, float]:
     """(D_jl, E) with E = ``decay_exponent``; see ``decay_factor``."""
-    exponent = decay_exponent(label, cov)
-    s = label.s.astype(float)
+    s = _float_weights(label, cov)
+    exponent = float(s @ cov.mu_matrix @ s)
     d_power = cov.g**exponent
     d_exp = np.exp(-2.0 * float(s @ cov.sigma @ s))
     if not abs(d_power - d_exp) <= 1e-12:

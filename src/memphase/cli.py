@@ -190,8 +190,7 @@ def cmd_decay(config: RunConfig) -> str:
         verdict = check_mu_feasible(cov.mu[1], cov.mu[2])
         lines.append(f"# mu_feasible={'yes' if verdict.feasible else 'no'}")
     lines.append("m,mu_m")
-    for m in range(cov.n_uses):
-        lines.append(f"{m},{cov.mu[m]:.12e}")
+    lines.extend(f"{m},{mu_m:.12e}" for m, mu_m in enumerate(cov.mu.tolist()))
     lines.append("")
     lines.append("j,l,exponent,decay")
     for label in _parse_labels(config):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NotPositiveSemidefinite
-from .spectrum import PowerSpectrum, autocorrelation, kernel_integral
+from .spectrum import PowerSpectrum, autocorrelation, kernel_integrals
 
 __all__ = [
     "ChannelParams",
@@ -83,14 +83,16 @@ class PhaseCovariance:
     """Gaussian phase statistics for N channel uses.
 
     Stores the variance eta^2, the correlation coefficients by lag
-    (mu[0] = 1), their Toeplitz matrix T_kk' = mu_|k-k'|, built once and
-    read-only, and the smallest eigenvalue of T as ``eigvalsh`` computes it
-    when the covariance is checked.
+    (mu[0] = 1), their Toeplitz matrix T_kk' = mu_|k-k'| and the dense
+    covariance matrix sigma = eta^2 T, both built once and read-only, and
+    the smallest eigenvalue of T as ``eigvalsh`` computes it when the
+    covariance is checked.
     """
 
     eta_sq: float
     mu: np.ndarray = field(repr=False)
     mu_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma: np.ndarray = field(init=False, repr=False, compare=False)
     min_eigenvalue: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,6 +116,9 @@ class PhaseCovariance:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "mu_matrix", t)
         object.__setattr__(self, "eta_sq", float(self.eta_sq))
+        sigma = self.eta_sq * t
+        sigma.flags.writeable = False
+        object.__setattr__(self, "sigma", sigma)
         self._check_psd()
 
     def _check_psd(self):
@@ -140,11 +145,6 @@ class PhaseCovariance:
         """Single-use damping, exactly exp(-2*eta^2)."""
         return math.exp(-2.0 * self.eta_sq)
 
-    @property
-    def sigma(self) -> np.ndarray:
-        """Dense N x N covariance matrix <phi_k phi_k'>."""
-        return self.eta_sq * self.mu_matrix
-
 
 def covariance_from_spectrum(spec: PowerSpectrum, params: ChannelParams) -> PhaseCovariance:
     """Phase covariance by the spectral kernel route.
@@ -154,13 +154,16 @@ def covariance_from_spectrum(spec: PowerSpectrum, params: ChannelParams) -> Phas
     is not positive and finite (it underflows for a very short window) or
     eta^2 overflows.
     """
-    i0 = kernel_integral(spec, params.tau_p, 0.0)
-    # kernel_integral rejects a value that is not finite
+    lags = (0.0, *(m * params.tau for m in range(1, params.n_uses)))
+    kernels = kernel_integrals(spec, params.tau_p, lags)
+    # kernel_integrals rejects a value that is not finite, lag by lag, so a
+    # bad I(0) is reported before any later lag
+    i0 = next(kernels)
     if not i0 > 0.0:
         raise DomainError(f"kernel integral I(0) = {i0!r} at tau_p = {params.tau_p} is not positive")
     mu = np.ones(params.n_uses)
-    for m in range(1, params.n_uses):
-        mu[m] = kernel_integral(spec, params.tau_p, m * params.tau) / i0
+    for m, value in enumerate(kernels, start=1):
+        mu[m] = value / i0
     # a product, not coupling**2, which raises OverflowError instead of giving inf
     return PhaseCovariance(eta_sq=params.coupling * params.coupling * i0, mu=mu)
 

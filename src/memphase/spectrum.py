@@ -32,15 +32,21 @@ and every built-in spectrum has them in closed form:
 * 1/f:        J(a) = (A/2pi) * [F(w)] between the cutoffs, with
   F(w) = -(1 - cos aw)/(2w^2) - a*sin(aw)/(2w) + (a^2/2)*Ci(aw).
 
-Each spectrum class carries its own formulas; the module-level functions
-delegate to them.  Only the 1/f formulas need scipy (the cosine integral
-Ci), which loads on their first use.
+Each spectrum class carries its own formulas, including ``kernels``, which
+gives I(d) for many lags d one lag at a time; the module-level functions
+delegate to them, and ``kernel_integral`` is the one-lag case of
+``kernel_integrals``.  Only the 1/f formulas need scipy (the cosine
+integral Ci), which loads on their first use.  A 1/f covariance takes every
+Ci(a*w) of all its lags from one array ``sici`` call, which gives the same
+bits as one scalar call per value; the sines and the three-piece sum stay
+scalar Python arithmetic, lag by lag.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import DomainError, WhiteNoiseUndefined
@@ -53,6 +59,7 @@ __all__ = [
     "spectral_density",
     "autocorrelation",
     "kernel_integral",
+    "kernel_integrals",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -67,16 +74,16 @@ def _sici():
     return sici
 
 
-class _ThreePieceKernel:
-    """Spectra whose kernel is assembled from ``piece(a)`` = J(a), a >= 0."""
+class _LagByLag:
+    """Spectra whose scalar ``kernel(tau_p, d)`` is cheap enough to call per lag."""
 
-    def kernel(self, tau_p: float, d: float) -> float:
-        """I(d) for d >= 0 from the single-frequency pieces J."""
-        return 0.5 * self.piece(tau_p + d) + 0.5 * self.piece(abs(tau_p - d)) - self.piece(d)
+    def kernels(self, tau_p: float, lags: Iterable[float]) -> Iterator[float]:
+        """I(d) for each lag d >= 0, computed as it is asked for."""
+        return (self.kernel(tau_p, d) for d in lags)
 
 
 @dataclass(frozen=True)
-class White:
+class White(_LagByLag):
     """Flat spectrum S(w) = level (units of signal^2 * time)."""
 
     level: float
@@ -107,7 +114,7 @@ def _exp_remainder(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class Lorentzian(_ThreePieceKernel):
+class Lorentzian(_LagByLag):
     """Exponentially correlated drive: S(w) = 2*variance*rate/(rate^2 + w^2)."""
 
     variance: float
@@ -130,7 +137,7 @@ class Lorentzian(_ThreePieceKernel):
 
     def kernel(self, tau_p: float, d: float) -> float:
         if d < tau_p:
-            return super().kernel(tau_p, d)
+            return 0.5 * self.piece(tau_p + d) + 0.5 * self.piece(tau_p - d) - self.piece(d)
         # exp(-g d) sinh^2(g tp/2) = exp(-g (d - tp)) expm1(-g tp)^2 / 4, which
         # neither cancels nor overflows
         g = self.rate
@@ -138,8 +145,18 @@ class Lorentzian(_ThreePieceKernel):
         return self.variance / (4.0 * g * g) * math.exp(-g * (d - tau_p)) * edge * edge
 
 
+def _one_over_f_antiderivative(a: float, w: float, ci: float) -> float:
+    """F(w) of the 1/f piece J(a), given ci = Ci(a*w).
+
+    F' = (1 - cos aw)/w^3, with 1 - cos x written as 2 sin^2(x/2).
+    """
+    x = a * w
+    half = math.sin(0.5 * x)
+    return -half * half / (w * w) - a * math.sin(x) / (2.0 * w) + 0.5 * a * a * ci
+
+
 @dataclass(frozen=True)
-class OneOverF(_ThreePieceKernel):
+class OneOverF:
     """Banded 1/f spectrum: S(w) = amplitude/w on [omega_min, omega_max]."""
 
     amplitude: float
@@ -170,21 +187,28 @@ class OneOverF(_ThreePieceKernel):
         ci_lo = float(sici(self.omega_min * t)[1])
         return self.amplitude / math.pi * (ci_hi - ci_lo)
 
-    def piece(self, a: float) -> float:
+    def _piece(self, a: float, ci_hi: float, ci_lo: float) -> float:
+        """J(a), given Ci(a*omega_max) and Ci(a*omega_min)."""
         if a == 0.0:
             return 0.0
-        sici = _sici()
-
-        def antiderivative(w: float) -> float:
-            # F' = (1 - cos aw)/w^3, with 1 - cos x written as 2 sin^2(x/2)
-            x = a * w
-            half = math.sin(0.5 * x)
-            ci = float(sici(x)[1])
-            return -half * half / (w * w) - a * math.sin(x) / (2.0 * w) + 0.5 * a * a * ci
-
         return self.amplitude / _TWO_PI * (
-            antiderivative(self.omega_max) - antiderivative(self.omega_min)
+            _one_over_f_antiderivative(a, self.omega_max, ci_hi)
+            - _one_over_f_antiderivative(a, self.omega_min, ci_lo)
         )
+
+    def kernels(self, tau_p: float, lags: Iterable[float]) -> Iterator[float]:
+        """I(d) for each lag d >= 0, computed as it is asked for.
+
+        The pieces J(tau_p + d), J(|tau_p - d|) and J(d) of every lag take
+        their Ci(a*w), at both cutoffs, from one ``sici`` call on the first
+        request (Ci(0) = -inf is computed for a zero piece, and unused).
+        """
+        spans = [(tau_p + d, abs(tau_p - d), d) for d in lags]
+        cutoffs = (self.omega_max, self.omega_min)
+        ci = iter(_sici()([a * w for trio in spans for a in trio for w in cutoffs])[1].tolist())
+        for trio in spans:
+            j = [self._piece(a, next(ci), next(ci)) for a in trio]
+            yield 0.5 * j[0] + 0.5 * j[1] - j[2]
 
 
 PowerSpectrum = White | Lorentzian | OneOverF
@@ -205,12 +229,16 @@ def autocorrelation(spec: PowerSpectrum, tau: float) -> float:
     return spec.autocorrelation(tau)
 
 
-def kernel_integral(spec: PowerSpectrum, tau_p: float, delta: float) -> float:
-    """Windowed phase-covariance kernel I(delta), in closed form.
+def kernel_integrals(
+    spec: PowerSpectrum, tau_p: float, lags: Iterable[float]
+) -> Iterator[float]:
+    """Windowed phase-covariance kernel I(delta) at each lag, in closed form.
 
-    I(delta) = (1/2pi) int_0^inf S(w) (1-cos(w tau_p))/w^2 cos(w delta) dw.
-    A closed form that leaves the float range, or gives a value that is not
-    finite, raises ``DomainError``.
+    I(delta) = (1/2pi) int_0^inf S(w) (1-cos(w tau_p))/w^2 cos(w delta) dw,
+    yielded lag by lag, in the order given; nothing is computed until the
+    first value is asked for.  A closed form that leaves the float range, or
+    gives a value that is not finite, raises ``DomainError`` naming its lag
+    when that lag's value is asked for.
 
     Parameters
     ----------
@@ -218,15 +246,23 @@ def kernel_integral(spec: PowerSpectrum, tau_p: float, delta: float) -> float:
         Drive spectrum.
     tau_p : float
         Transit-time window length, > 0.
-    delta : float
-        Lag between window starts (m * tau); the kernel is even in delta.
+    lags : iterable of float
+        Lags between window starts (m * tau); the kernel is even in each.
     """
     if not tau_p > 0.0:
         raise DomainError(f"tau_p must be positive, got {tau_p}")
-    try:
-        value = spec.kernel(tau_p, abs(delta))
-    except (ArithmeticError, ValueError) as exc:
-        raise DomainError(f"kernel integral of {spec!r} at lag {delta} failed: {exc}") from exc
-    if not math.isfinite(value):
-        raise DomainError(f"kernel integral of {spec!r} at lag {delta} is {value!r}, not finite")
-    return value
+    lags = list(lags)
+    values = spec.kernels(tau_p, [abs(delta) for delta in lags])
+    for delta in lags:
+        try:
+            value = next(values)
+        except (ArithmeticError, ValueError) as exc:
+            raise DomainError(f"kernel integral of {spec!r} at lag {delta} failed: {exc}") from exc
+        if not math.isfinite(value):
+            raise DomainError(f"kernel integral of {spec!r} at lag {delta} is {value!r}, not finite")
+        yield value
+
+
+def kernel_integral(spec: PowerSpectrum, tau_p: float, delta: float) -> float:
+    """Windowed phase-covariance kernel I(delta): ``kernel_integrals`` at one lag."""
+    return next(kernel_integrals(spec, tau_p, (delta,)))

@@ -97,6 +97,27 @@ class TestCoherenceLabel:
         with pytest.raises(DimensionMismatch, match="non-negative"):
             CoherenceLabel(0, 1, -1)
 
+    def test_empty_bitstrings_give_the_zero_qubit_label(self):
+        label = CoherenceLabel.from_bitstrings("", "")
+        assert label == CoherenceLabel(0, 0, 0)
+        assert label.s.shape == (0,) and label.is_population
+
+    @pytest.mark.parametrize("n", [64, 70, 100])
+    def test_wide_label_weights_equal_the_bitstring_difference(self, rng, n):
+        # set bits on both sides of bit 63 of the basis index, which int64
+        # shifts cannot reach
+        j = list(rng.integers(0, 2, n))
+        l = list(rng.integers(0, 2, n))
+        j[0], l[0], j[-1], l[-1] = 1, 0, 0, 1
+        j_bits, l_bits = "".join(map(str, j)), "".join(map(str, l))
+        label = CoherenceLabel.from_bitstrings(j_bits, l_bits)
+        assert label.s.dtype == np.int64
+        np.testing.assert_array_equal(label.s, np.array(l) - np.array(j))
+        assert label.s[0] == -1 and label.s[-1] == 1
+        assert not label.s.flags.writeable
+        with pytest.raises(ValueError):
+            label.s[0] = 0
+
     @pytest.mark.parametrize("bits", ["-01", "0b1", "+01", "0_1", " 01", "012", "０１１"])
     def test_bitstrings_are_made_of_0_and_1(self, bits):
         with pytest.raises(DomainError, match="made of 0 and 1"):

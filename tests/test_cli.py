@@ -18,8 +18,14 @@ from memphase.cli import (
     main,
 )
 from memphase.codes import fe_tqc_general, pe_tqc_memory, pe_two_qubit
-from memphase.correlation import check_mu_feasible, g_from_epsilon
-from memphase.errors import ConfigError
+from memphase.correlation import (
+    ChannelParams,
+    check_mu_feasible,
+    covariance_from_spectrum,
+    g_from_epsilon,
+)
+from memphase.errors import ConfigError, DomainError
+from memphase.spectrum import Lorentzian, OneOverF
 
 
 # valid spectra whose kernel closed forms leave the float range
@@ -312,6 +318,69 @@ def reference_fig3_rows(config):
     return rows
 
 
+def reference_kernel(config, d):
+    """I(d) of the config's spectrum, per lag: the three-piece closed forms,
+    with one scalar ``sici`` call per cosine integral."""
+    tau_p = config.tau_p
+    if config.spectrum == "white":
+        return 0.25 * config.level * max(tau_p - d, 0.0)
+    if config.spectrum == "lorentzian":
+        variance, rate = config.sigma2, config.gamma
+        if d >= tau_p:
+            edge = math.expm1(-rate * tau_p)
+            return variance / (4.0 * rate * rate) * math.exp(-rate * (d - tau_p)) * edge * edge
+
+        def piece(a):
+            x = rate * a
+            if x > 0.1:
+                remainder = math.expm1(-x) + x
+            else:
+                remainder = sum((-x) ** k / math.factorial(k) for k in range(2, 18))
+            return variance / (2.0 * rate**2) * remainder
+
+    else:
+        from scipy.special import sici
+
+        def antiderivative(a, w):
+            x = a * w
+            half = math.sin(0.5 * x)
+            ci = float(sici(x)[1])
+            return -half * half / (w * w) - a * math.sin(x) / (2.0 * w) + 0.5 * a * a * ci
+
+        def piece(a):
+            if a == 0.0:
+                return 0.0
+            return config.amplitude / (2.0 * math.pi) * (
+                antiderivative(a, config.omega_max) - antiderivative(a, config.omega_min)
+            )
+
+    return 0.5 * piece(tau_p + d) + 0.5 * piece(abs(tau_p - d)) - piece(d)
+
+
+def reference_decay(config):
+    """(eta_sq line, data rows) of ``decay``, lag by lag and label by label."""
+    n = config.n_uses
+    i0 = reference_kernel(config, 0.0)
+    mu = [1.0] + [reference_kernel(config, m * config.tau) / i0 for m in range(1, n)]
+    assert max(abs(m) for m in mu) <= 1.0
+    eta_sq = config.coupling * config.coupling * i0
+    g = math.exp(-2.0 * eta_sq)
+    toeplitz = np.array([[mu[abs(k - q)] for q in range(n)] for k in range(n)])
+    if config.labels:
+        pairs = [item.split(":") for item in config.labels.split(",")]
+    else:
+        bits = [format(b, f"0{n}b") for b in range(1 << n)]
+        pairs = [(j, l) for a, j in enumerate(bits) for l in bits[a:]]
+    rows = ["m,mu_m"] + [f"{m},{value:.12e}" for m, value in enumerate(mu)]
+    rows.append("j,l,exponent,decay")
+    for j, l in pairs:
+        s = np.array([int(b) for b in l], dtype=float) - np.array([int(b) for b in j])
+        exponent = float(s @ toeplitz @ s)
+        rows.append(f"{j},{l},{exponent:.12e},{g**exponent:.12e}")
+    eps = 0.5 * (1.0 - g)
+    return f"# eta_sq={eta_sq:.12e} g={g:.12e} epsilon={eps:.12e}", rows
+
+
 def assert_same_rows(got, want):
     # row by row: pytest's diff of two 10 000-line strings takes minutes
     assert len(got) == len(want)
@@ -347,6 +416,63 @@ class TestSweepBytes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_same_rows(data_rows(cmd_fig3(config))[1:], reference_fig3_rows(config))
+
+
+DECAY_SPECTRA = {
+    "white": {"spectrum": "white", "level": 0.7},
+    "lorentzian": {"spectrum": "lorentzian", "sigma2": 1.3, "gamma": 0.8},
+    "one_over_f-10": {"spectrum": "one_over_f", "omega_min": 0.1, "omega_max": 10.0},
+    "one_over_f-1000": {"spectrum": "one_over_f", "omega_min": 0.1, "omega_max": 1000.0},
+}
+
+
+def decay_config(spectrum, n_uses, spacing):
+    """A decay config at tau = spacing * tau_p, with explicit labels beyond 3 uses."""
+    labels = None
+    if n_uses > 3:
+        rng = np.random.default_rng(n_uses)
+
+        def bits():
+            return "".join(str(b) for b in rng.integers(0, 2, n_uses))
+
+        population = bits()
+        pairs = [f"{bits()}:{bits()}" for _ in range(5)] + [f"{population}:{population}"]
+        labels = ",".join(pairs)
+    return RunConfig(
+        **DECAY_SPECTRA[spectrum], coupling=0.8, tau_p=0.7, tau=spacing * 0.7,
+        n_uses=n_uses, labels=labels,
+    )
+
+
+class TestDecayBytes:
+    """The kernels of a covariance share one cosine-integral call and the
+    labels read Python ints; the decay rows must not change by a byte."""
+
+    @pytest.mark.parametrize("spacing", [1.0, 1.7, 40.0], ids=["tau-tp", "tau-1.7tp", "tau-40tp"])
+    @pytest.mark.parametrize("n_uses", [1, 3, 9, 33, 70])
+    @pytest.mark.parametrize("spectrum", list(DECAY_SPECTRA))
+    def test_decay_rows(self, spectrum, n_uses, spacing):
+        config = decay_config(spectrum, n_uses, spacing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = cmd_decay(config)
+        eta_line, rows = reference_decay(config)
+        assert eta_line in text.splitlines()
+        assert_same_rows(data_rows(text), rows)
+
+    def test_later_lag_failure_names_its_lag(self):
+        # lag 0 is finite; the second lag's sine argument a * omega_max is inf
+        spec = OneOverF(1.0, 0.1, 1e300)
+        params = ChannelParams(1.0, 1.0, 1e9, 3)
+        with pytest.raises(DomainError, match=r"OneOverF\(.*at lag 1000000000\.0 failed"):
+            covariance_from_spectrum(spec, params)
+
+    def test_covariance_matrix_is_read_only(self):
+        cov = covariance_from_spectrum(Lorentzian(1.3, 0.8), ChannelParams(0.8, 0.7, 1.2, 9))
+        np.testing.assert_array_equal(cov.sigma, cov.eta_sq * cov.mu_matrix)
+        assert not cov.sigma.flags.writeable
+        with pytest.raises(ValueError):
+            cov.sigma[0, 0] = 0.0
 
 
 class TestDeterminism:

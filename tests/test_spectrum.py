@@ -14,6 +14,7 @@ from memphase.spectrum import (
     White,
     autocorrelation,
     kernel_integral,
+    kernel_integrals,
     spectral_density,
 )
 
@@ -201,3 +202,21 @@ class TestKernelIntegral:
     def test_invalid_window_raises(self):
         with pytest.raises(DomainError):
             kernel_integral(White(1.0), 0.0, 0.0)
+
+
+class TestKernelIntegrals:
+    @pytest.mark.parametrize(
+        "spec",
+        [White(0.7), Lorentzian(1.3, 0.8), OneOverF(1.0, 0.1, 10.0), OneOverF(0.9, 0.01, 1000.0)],
+        ids=["white", "lorentzian", "one_over_f-10", "one_over_f-1000"],
+    )
+    def test_each_lag_equals_its_one_lag_call(self, spec):
+        lags = [0.0, 0.35, 0.7, -1.19, 1.4, 28.0, 100.0]
+        values = list(kernel_integrals(spec, 0.7, lags))
+        assert values == [kernel_integral(spec, 0.7, delta) for delta in lags]
+
+    def test_values_before_a_failing_lag_are_yielded(self):
+        kernels = kernel_integrals(OneOverF(1.0, 0.1, 1e300), 1.0, [0.0, 1e9, 2e9])
+        assert math.isfinite(next(kernels))
+        with pytest.raises(DomainError, match=r"at lag 1000000000\.0 failed"):
+            next(kernels)
