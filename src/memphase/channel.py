@@ -98,10 +98,12 @@ their lower triangles):
   loose to pass leave the output to the factorization.
 
 Register convention: qubit position 0 is the most significant bit of the
-basis index (leftmost factor of the tensor product), and a list of positions
-names distinct qubits of the register.  This module owns the convention:
-``_basis_bits`` is the one bit reader and ``_check_positions`` the one
-position check, for the channel and the circuit layer alike.
+basis index (leftmost factor of the tensor product), a position is an
+integer (read with ``operator.index``, so 1.5 is refused, not truncated), and
+a list of positions names distinct qubits of the register.  This module owns
+the convention: ``_basis_bits`` is the one bit reader and
+``_check_positions`` the one position check, for the channel and the circuit
+layer alike.
 """
 
 from __future__ import annotations
@@ -148,13 +150,29 @@ def _basis_bits(indices, n_qubits: int, positions) -> np.ndarray:
     return bits.astype(np.int64, copy=False)
 
 
-def _check_positions(positions, n_qubits: int) -> None:
-    """Raise PositionOutOfRange unless the positions are distinct qubits of the register."""
+def _position(p) -> int:
+    """The qubit position p as an int; PositionOutOfRange unless p is an integer.
+
+    Python and numpy integers pass; 1.5, 1.0 and "1" do not.
+    """
+    try:
+        return operator.index(p)
+    except TypeError:
+        raise PositionOutOfRange(f"qubit position {p!r} is not an integer") from None
+
+
+def _check_positions(positions, n_qubits: int) -> tuple[int, ...]:
+    """The positions as ints, once they are checked to be distinct integer qubits of the register.
+
+    Raises PositionOutOfRange otherwise.
+    """
+    positions = tuple(map(_position, positions))
     if len(set(positions)) != len(positions):
-        raise PositionOutOfRange(f"duplicate qubit positions in {tuple(positions)}")
+        raise PositionOutOfRange(f"duplicate qubit positions in {positions}")
     for p in positions:
         if not 0 <= p < n_qubits:
             raise PositionOutOfRange(f"position {p} outside register of {n_qubits} qubits")
+    return positions
 
 
 def _hermiticity_defect(m: np.ndarray) -> float:
@@ -175,6 +193,13 @@ class CoherenceLabel:
     n_qubits: int
 
     def __post_init__(self):
+        for name in ("j", "l"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise PositionOutOfRange(
+                    f"basis index {name} must be an integer, got {getattr(self, name)!r}"
+                ) from None
         if self.n_qubits < 0:
             raise DimensionMismatch(
                 f"register size must be non-negative, got {self.n_qubits} qubits"
@@ -199,8 +224,8 @@ class CoherenceLabel:
     def s(self) -> np.ndarray:
         """Weights s_k = l_k - j_k per qubit position (computed once, read-only)."""
         positions = range(self.n_qubits)
-        s = _basis_bits(operator.index(self.l), self.n_qubits, positions)
-        s -= _basis_bits(operator.index(self.j), self.n_qubits, positions)
+        s = _basis_bits(self.l, self.n_qubits, positions)
+        s -= _basis_bits(self.j, self.n_qubits, positions)
         s.flags.writeable = False
         return s
 
@@ -409,13 +434,13 @@ def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMat
     any other.  The proof assumes rho is a density matrix: for a state
     built with ``validate=False`` the caller vouches for that.
     """
-    which = tuple(int(p) for p in which)
+    which = tuple(which)
     n = rho.n_qubits
     if len(which) != cov.n_uses:
         raise DimensionMismatch(
             f"{len(which)} transmitted qubits but covariance has {cov.n_uses} uses"
         )
-    _check_positions(which, n)
+    which = _check_positions(which, n)
     bits = _basis_bits(np.arange(rho.dim), n, which).astype(float)  # (dim, N)
     # an infinite or NaN entry is reported by the output validation, not
     # as a numpy warning

@@ -9,9 +9,18 @@ to the +/- basis with Hadamards, so that dephasing during transmission acts
 like bit flips on the codewords.  Decoding rotates back, uncopies, and
 applies a Toffoli that coherently corrects the single-flip syndromes.
 
+Gates run as one loop over raw matrices, m = u @ m @ u^H, with each gate's
+(u, u^H) pair built once per gate; ``tqc_encode``, ``tqc_decode`` and
+``apply_gate`` (the one-gate case, which alone checks that R is untouched)
+wrap the result in a ``JointState`` only at the end.  The encoded source,
+``tqc_encode(prepare_bell_with_ancillas())``, is built here once and shared
+read-only (``_encoded_source``): ``codes.fe_tqc_via_circuit`` sends it
+through the channel and ``_code_weights`` reads its fidelity polynomial off
+it, so the package encodes in one place.
+
 A state is validated where it enters from outside and where the channel
 makes it, nowhere else: a Hadamard, basis permutation or +-1 diagonal
-conjugation keeps a valid state valid up to rounding, so ``apply_gate`` and
+conjugation keeps a valid state valid up to rounding, so the gate loop and
 ``apply_pauli_z`` build their outputs unvalidated.  ``_code_weights`` holds
 the code's fidelity polynomial as a (3, 3, 3) weight table for Monte Carlo.
 """
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DensityMatrix, _basis_bits, _check_positions
+from .channel import DensityMatrix, _basis_bits, _check_positions, _position
 from .errors import DimensionMismatch, PositionOutOfRange
 
 __all__ = [
@@ -61,7 +70,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in self._N_CONTROLS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "controls", tuple(int(c) for c in self.controls))
+        object.__setattr__(self, "target", _position(self.target))
+        object.__setattr__(self, "controls", tuple(map(_position, self.controls)))
         if len(self.controls) != self._N_CONTROLS[self.kind]:
             raise ValueError(
                 f"{self.kind} takes {self._N_CONTROLS[self.kind]} controls, "
@@ -129,12 +139,29 @@ def prepare_bell_with_ancillas() -> JointState:
     return JointState(DensityMatrix.from_state_vector(psi))
 
 
+@functools.cache
+def _conjugation(gate: Gate) -> tuple[np.ndarray, np.ndarray]:
+    """(u, u^H) of the gate on the joint register, built once per gate; both read-only."""
+    u = gate_unitary(gate, 4)
+    u_h = u.conj().T
+    u_h.flags.writeable = False
+    return u, u_h
+
+
+def _run_gates(state: JointState, gates) -> JointState:
+    """Conjugate the joint state by each gate in turn, as raw matrices, m = u @ m @ u^H."""
+    m = state.rho.matrix
+    for gate in gates:
+        u, u_h = _conjugation(gate)
+        m = u @ m @ u_h
+    return JointState(DensityMatrix(m, validate=False))
+
+
 def apply_gate(state: JointState, gate: Gate) -> JointState:
     """Conjugate the joint state by the gate unitary; R must stay untouched."""
     if JointState.R in (gate.target, *gate.controls):
         raise PositionOutOfRange("the reference qubit R is never acted on")
-    u = gate_unitary(gate, 4)
-    return JointState(DensityMatrix(u @ state.rho.matrix @ u.conj().T, validate=False))
+    return _run_gates(state, (gate,))
 
 
 def apply_pauli_z(state: JointState, position: int) -> JointState:
@@ -169,15 +196,21 @@ CODE_ORDER = (JointState.Q, JointState.A, JointState.B)
 
 
 def tqc_encode(state: JointState) -> JointState:
-    for gate in ENCODE_GATES:
-        state = apply_gate(state, gate)
-    return state
+    return _run_gates(state, ENCODE_GATES)
 
 
 def tqc_decode(state: JointState) -> JointState:
-    for gate in DECODE_GATES:
-        state = apply_gate(state, gate)
-    return state
+    return _run_gates(state, DECODE_GATES)
+
+
+@functools.cache
+def _encoded_source() -> JointState:
+    """The encoded purified source, ``tqc_encode(prepare_bell_with_ancillas())``.
+
+    Built once; every caller shares the returned state, whose matrix is
+    read-only like every ``DensityMatrix``'s.
+    """
+    return tqc_encode(prepare_bell_with_ancillas())
 
 
 def partial_trace(matrix: np.ndarray, keep, n_qubits: int) -> np.ndarray:
@@ -237,7 +270,7 @@ def _code_weights() -> np.ndarray:
     A (3, 3, 3) array indexed by s + 1 over CODE_ORDER; c_s is summed in
     (j, l) order.  Every caller shares the returned read-only array.
     """
-    rho_enc = tqc_encode(prepare_bell_with_ancillas()).rho.matrix
+    rho_enc = _encoded_source().rho.matrix
     u_dec = np.eye(16, dtype=complex)
     for gate in DECODE_GATES:
         u_dec = gate_unitary(gate, 4) @ u_dec

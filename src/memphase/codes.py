@@ -13,11 +13,13 @@ so the public function and the sweep columns share one expression.
 
 ``fe_tqc_via_circuit`` re-derives the closed form by running the full
 encode / channel / decode pipeline exactly (no sampling); agreement to
-machine precision is part of the acceptance suite.  A state is validated
-where it enters from outside and where the channel makes it, nowhere else,
-so each call validates one state: the channel output.  The Monte Carlo
-route checks the same pipeline through its weight table
-(``circuit._code_weights``).
+machine precision is part of the acceptance suite.  The source is encoded
+once per process (``circuit._encoded_source``) and shared, so a call runs
+the channel and the decode gates, the latter as one loop over raw matrices.
+A state is validated where it enters from outside and where the channel
+makes it, nowhere else, so each call validates one state: the channel
+output.  The Monte Carlo route checks the same pipeline through its weight
+table (``circuit._code_weights``), read off the same encoded source.
 """
 
 from __future__ import annotations
@@ -26,14 +28,7 @@ import math
 import warnings
 
 from .channel import apply_channel
-from .circuit import (
-    CODE_ORDER,
-    JointState,
-    entanglement_fidelity,
-    prepare_bell_with_ancillas,
-    tqc_decode,
-    tqc_encode,
-)
+from .circuit import CODE_ORDER, JointState, _encoded_source, entanglement_fidelity, tqc_decode
 from .correlation import PhaseCovariance, _check_damping, check_mu_feasible
 from .errors import DomainError, FeasibilityWarning
 
@@ -155,10 +150,9 @@ def mu2_opt(g: float, mu1: float) -> float:
 def fe_tqc_via_circuit(cov: PhaseCovariance) -> float:
     """Code fidelity from the explicit gate pipeline (exact, no sampling).
 
-    Encodes the purified source, sends (Q, A, B) through the channel in
-    that order (``circuit.CODE_ORDER``), decodes, traces out the ancillas
-    and evaluates the overlap with the ideal pair.
+    Takes the purified source, encoded once per process, sends (Q, A, B)
+    through the channel in that order (``circuit.CODE_ORDER``), decodes,
+    traces out the ancillas and evaluates the overlap with the ideal pair.
     """
-    source = tqc_encode(prepare_bell_with_ancillas())
-    rho = apply_channel(source.rho, cov, CODE_ORDER)
+    rho = apply_channel(_encoded_source().rho, cov, CODE_ORDER)
     return entanglement_fidelity(tqc_decode(JointState(rho)))

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ import numpy as np
 from .channel import CoherenceLabel
 from .circuit import _code_weights
 from .correlation import PhaseCovariance
-from .errors import DimensionMismatch, EmptyEnsemble, StepTooCoarse
+from .errors import DimensionMismatch, DomainError, EmptyEnsemble, StepTooCoarse
 from .spectrum import Lorentzian
 
 __all__ = [
@@ -118,6 +119,17 @@ def _fill_substreams(fill, seed: int, n: int) -> None:
             future.result()
 
 
+def _sample_count(n) -> int:
+    """The ensemble size n as an int; DomainError unless it is an integer >= 0."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"sample count n must be an integer, got {n!r}") from None
+    if n < 0:
+        raise DomainError(f"sample count n must be non-negative, got {n}")
+    return n
+
+
 def _covariance_factor(cov: PhaseCovariance) -> np.ndarray:
     """Symmetric factor L with L L^T = Sigma (eigendecomposition).
 
@@ -138,8 +150,10 @@ def sample_phases_direct(cov: PhaseCovariance, seed: int, n: int) -> np.ndarray:
     """Exact multivariate-normal phase draws, shape (n, N).
 
     Deterministic for fixed (seed, n): N_SUBSTREAMS spawned Philox streams
-    fill consecutive blocks of rows.
+    fill consecutive blocks of rows.  n must be an integer >= 0
+    (DomainError otherwise).
     """
+    n = _sample_count(n)
     factor_t = _covariance_factor(cov).T
     out = np.empty((n, cov.n_uses))
 
@@ -164,13 +178,18 @@ def sample_phases_trajectory(
     the exact one-step update on a grid of ceil(tau_p/dt) steps per transit
     window (dt is shrunk to divide tau_p evenly), and accumulates
     phi_k = (lambda/2) * trapezoid(xi) over window k.  Between windows the
-    state jumps by one exact step of length tau - tau_p.
+    state jumps by one exact step of length tau - tau_p.  n must be an
+    integer >= 0 and dt > 0 (DomainError otherwise).
     """
     if not isinstance(spec, Lorentzian):
         raise TypeError(
             "trajectory sampling requires the exponentially correlated "
             f"(Lorentzian) drive, got {type(spec).__name__}"
         )
+    n = _sample_count(n)
+    # also false for NaN
+    if not dt > 0.0:
+        raise DomainError(f"time step dt must be positive, got {dt}")
     if dt > params.tau_p / 50.0:
         raise StepTooCoarse(
             f"dt={dt} too coarse; need dt <= tau_p/50 = {params.tau_p / 50.0}"

@@ -97,6 +97,17 @@ class TestCoherenceLabel:
         with pytest.raises(DimensionMismatch, match="non-negative"):
             CoherenceLabel(0, 1, -1)
 
+    @pytest.mark.parametrize("j,l", [(1.5, 2), (2, 1.5), (1.0, 2), (2, "1")])
+    def test_non_integer_index(self, j, l):
+        with pytest.raises(PositionOutOfRange, match="must be an integer"):
+            CoherenceLabel(j, l, 3)
+
+    def test_numpy_integer_indices_read_as_ints(self):
+        label = CoherenceLabel(np.int64(1), np.uint8(6), 3)
+        assert label == CoherenceLabel(1, 6, 3)
+        assert type(label.j) is int and type(label.l) is int
+        np.testing.assert_array_equal(label.s, CoherenceLabel(1, 6, 3).s)
+
     def test_empty_bitstrings_give_the_zero_qubit_label(self):
         label = CoherenceLabel.from_bitstrings("", "")
         assert label == CoherenceLabel(0, 0, 0)
@@ -319,6 +330,18 @@ class TestApplyChannel:
         cov2 = PhaseCovariance.from_damping(0.9, [1.0, 0.5])
         with pytest.raises(PositionOutOfRange):
             apply_channel(rho, cov2, (0, 0))
+
+    def test_fractional_positions(self):
+        rho = DensityMatrix(np.eye(4) / 4)
+        cov = PhaseCovariance.from_damping(0.9, [1.0, 0.5])
+        with pytest.raises(PositionOutOfRange, match="position 0.9 is not an integer$"):
+            apply_channel(rho, cov, [0.9, 1.2])
+
+    def test_numpy_integer_positions_read_as_ints(self, rng):
+        rho = random_density_matrix(rng, 3)
+        cov = PhaseCovariance.from_damping(0.9, [1.0, 0.5])
+        out = apply_channel(rho, cov, np.array([2, 0]))
+        np.testing.assert_array_equal(out.matrix, apply_channel(rho, cov, (2, 0)).matrix)
 
 
 class TestApplyChannelProperties:

@@ -1,15 +1,21 @@
 """Gate layer, code pipeline, and entanglement fidelity."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import random_feasible_point
+from conftest import random_density_matrix, random_feasible_point
+import memphase.montecarlo as montecarlo
 from memphase.channel import DensityMatrix, apply_channel
 from memphase.circuit import (
     CODE_ORDER,
     DECODE_GATES,
     ENCODE_GATES,
+    Gate,
     JointState,
+    _code_weights,
+    _encoded_source,
     apply_gate,
     apply_pauli_z,
     cnot,
@@ -25,6 +31,7 @@ from memphase.circuit import (
 from memphase.codes import fe_tqc_memory, fe_tqc_via_circuit
 from memphase.correlation import PhaseCovariance
 from memphase.errors import DimensionMismatch, PositionOutOfRange
+from memphase.montecarlo import _fold_weights, mc_tqc_fidelity, sample_phases_direct
 
 
 def code_space_state(rng) -> JointState:
@@ -163,10 +170,101 @@ class TestPipeline:
         assert fid == pytest.approx(0.5 + 0.75 * g - 0.25 * g**3, abs=1e-12)
 
 
+def run_per_gate(state: JointState, gates) -> JointState:
+    """Reference: the public apply_gate, called once per gate."""
+    for gate in gates:
+        state = apply_gate(state, gate)
+    return state
+
+
+def fidelity_per_gate(cov: PhaseCovariance) -> float:
+    """Reference for fe_tqc_via_circuit: encode on every call, one apply_gate per gate."""
+    source = run_per_gate(prepare_bell_with_ancillas(), ENCODE_GATES)
+    rho = apply_channel(source.rho, cov, CODE_ORDER)
+    return entanglement_fidelity(run_per_gate(JointState(rho), DECODE_GATES))
+
+
+def band_grid():
+    """(g, mu1, mu2) over g bins, mu1 bins and the lower edge, middle and top of the mu2 band."""
+    for g, mu1 in itertools.product((0.05, 0.3, 0.7, 0.95, 0.999, 1.0), np.linspace(0.0, 1.0, 6)):
+        lo, hi = max(0.0, 2.0 * mu1 * mu1 - 1.0), mu1
+        for frac in (0.0, 0.5, 1.0):
+            yield g, float(mu1), lo + frac * (hi - lo)
+
+
+def float_bytes(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# every gate on the joint register that leaves R alone
+CODE_GATES = (
+    [hadamard(t) for t in CODE_ORDER]
+    + [cnot(c, t) for c in CODE_ORDER for t in CODE_ORDER if c != t]
+    + [toffoli(c1, c2, t) for c1, c2, t in itertools.permutations(CODE_ORDER)]
+)
+
+
+class TestGateLoopBitIdentity:
+    """The raw-matrix gate loop and the shared encoded source change no bit."""
+
+    @pytest.mark.parametrize("gate", CODE_GATES, ids=str)
+    def test_apply_gate_is_one_conjugation_by_the_gate_unitary(self, rng, gate):
+        state = JointState(random_density_matrix(rng, 4))
+        u = gate_unitary(gate, 4)
+        expected = u @ state.rho.matrix @ u.conj().T
+        assert apply_gate(state, gate).rho.matrix.tobytes() == expected.tobytes()
+
+    def test_encode_and_decode_equal_per_gate_loops(self, rng):
+        states = [prepare_bell_with_ancillas(), code_space_state(rng)]
+        states += [JointState(random_density_matrix(rng, 4)) for _ in range(5)]
+        for state in states:
+            for stage, gates in ((tqc_encode, ENCODE_GATES), (tqc_decode, DECODE_GATES)):
+                got = stage(state).rho.matrix
+                assert got.tobytes() == run_per_gate(state, gates).rho.matrix.tobytes()
+
+    def test_circuit_fidelity_equals_per_gate_pipeline(self):
+        points = list(band_grid())
+        assert len(points) == 108
+        for g, mu1, mu2 in points:
+            cov = PhaseCovariance.from_damping(g, [1.0, mu1, mu2])
+            got, want = fe_tqc_via_circuit(cov), fidelity_per_gate(cov)
+            assert float_bytes(got) == float_bytes(want), (g, mu1, mu2)
+
+    def test_encoded_source_is_one_read_only_state(self):
+        source = _encoded_source()
+        assert _encoded_source() is source
+        assert not source.rho.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            source.rho.matrix[0, 0] = 0.0
+        reference = run_per_gate(prepare_bell_with_ancillas(), ENCODE_GATES)
+        assert source.rho.matrix.tobytes() == reference.rho.matrix.tobytes()
+
+    def test_code_weights_and_mc_fidelity_equal_per_gate_encoding(self, monkeypatch):
+        monkeypatch.setattr(
+            "memphase.circuit._encoded_source",
+            lambda: run_per_gate(prepare_bell_with_ancillas(), ENCODE_GATES),
+        )
+        reference = _code_weights.__wrapped__()
+        assert _code_weights().tobytes() == reference.tobytes()
+
+        cov = PhaseCovariance.from_damping(0.8, [1.0, 0.5, 0.3])
+        phases = sample_phases_direct(cov, 7, 5000)
+        got = mc_tqc_fidelity(phases)
+        monkeypatch.setattr(montecarlo, "_tqc_weights", lambda: _fold_weights(reference))
+        want = mc_tqc_fidelity(phases)
+        assert float_bytes(got.value) == float_bytes(want.value)
+        assert float_bytes(got.standard_error) == float_bytes(want.standard_error)
+
+
 class TestValidationRule:
     """A state is validated where it enters and where the channel makes it."""
 
-    def test_one_circuit_fidelity_validates_one_state(self, monkeypatch):
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_one_circuit_fidelity_validates_one_state(self, monkeypatch, cache):
+        if cache == "cold":
+            _encoded_source.cache_clear()
+        else:
+            _encoded_source()
         original = DensityMatrix.__init__
         validated = []
 
@@ -234,6 +332,30 @@ class TestPositionChecks:
     def test_message(self, call, message):
         with pytest.raises(PositionOutOfRange, match=message):
             call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Gate("h", 1.5),
+            lambda: Gate("cnot", 2, (1.5,)),
+            lambda: apply_pauli_z(prepare_bell_with_ancillas(), 1.5),
+            lambda: partial_trace(np.eye(16) / 16, (0.5, 1), 4),
+        ],
+        ids=["gate-target", "gate-control", "pauli-z", "partial-trace"],
+    )
+    def test_fractional_position(self, call):
+        with pytest.raises(PositionOutOfRange, match=r"position [01]\.5 is not an integer$"):
+            call()
+
+    def test_numpy_integer_positions_read_as_ints(self):
+        gate = Gate("cnot", np.int64(2), (np.int32(1),))
+        assert gate == cnot(1, 2) and type(gate.target) is int
+        assert gate_unitary(gate, 4) is gate_unitary(cnot(1, 2), 4)
+        state = prepare_bell_with_ancillas()
+        flipped = apply_pauli_z(state, np.int64(2)).rho.matrix
+        np.testing.assert_array_equal(flipped, apply_pauli_z(state, 2).rho.matrix)
+        kept = partial_trace(state.rho.matrix, (np.int64(0), np.int64(1)), 4)
+        np.testing.assert_array_equal(kept, partial_trace(state.rho.matrix, (0, 1), 4))
 
 
 class TestEntanglementFidelity:

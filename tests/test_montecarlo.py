@@ -24,6 +24,7 @@ from memphase.correlation import ChannelParams, PhaseCovariance, covariance_from
 import memphase
 from memphase.errors import (
     DimensionMismatch,
+    DomainError,
     EmptyEnsemble,
     NotPositiveSemidefinite,
     StepTooCoarse,
@@ -206,6 +207,17 @@ class TestDirectSampling:
         spread = np.abs(phases - phases[:, :1]).max()
         assert spread <= 1e-12
 
+    @pytest.mark.parametrize("n", [-1, 1.5])
+    def test_rejects_bad_sample_count(self, n):
+        cov = PhaseCovariance.from_damping(0.8, [1.0, 0.3, 0.1])
+        with pytest.raises(DomainError, match="sample count n must be"):
+            sample_phases_direct(cov, 1, n)
+
+    def test_numpy_integer_sample_count(self):
+        cov = PhaseCovariance.from_damping(0.8, [1.0, 0.3, 0.1])
+        a = sample_phases_direct(cov, 5, np.int64(100))
+        assert np.array_equal(a, sample_phases_direct(cov, 5, 100))
+
 
 class TestTrajectorySampling:
     def test_covariance_matches_analytic(self):
@@ -248,6 +260,20 @@ class TestTrajectorySampling:
         with pytest.raises(StepTooCoarse):
             sample_phases_trajectory(
                 Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, 1.0, 2), 1, 10, dt=0.1
+            )
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+    def test_rejects_non_positive_step(self, dt):
+        with pytest.raises(DomainError, match="time step dt must be positive"):
+            sample_phases_trajectory(
+                Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, 1.0, 2), 1, 10, dt=dt
+            )
+
+    @pytest.mark.parametrize("n", [-1, 1.5])
+    def test_rejects_bad_sample_count(self, n):
+        with pytest.raises(DomainError, match="sample count n must be"):
+            sample_phases_trajectory(
+                Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, 1.0, 2), 1, n, dt=1e-2
             )
 
     def test_rejects_non_exponential_drive(self):
