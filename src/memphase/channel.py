@@ -99,11 +99,12 @@ their lower triangles):
 
 Register convention: qubit position 0 is the most significant bit of the
 basis index (leftmost factor of the tensor product), a position is an
-integer (read with ``operator.index``, so 1.5 is refused, not truncated), and
-a list of positions names distinct qubits of the register.  This module owns
-the convention: ``_basis_bits`` is the one bit reader and
-``_check_positions`` the one position check, for the channel and the circuit
-layer alike.
+integer (read with ``operator.index``, so 1.5 is refused, not truncated), a
+list of positions names distinct qubits of the register, and a register size
+is a non-negative integer, read the same way.  This module owns the
+convention: ``_basis_bits`` is the one bit reader, ``_check_positions`` the
+one position check and ``_register_size`` the one size check, for the
+channel and the circuit layer alike.
 """
 
 from __future__ import annotations
@@ -161,6 +162,20 @@ def _position(p) -> int:
         raise PositionOutOfRange(f"qubit position {p!r} is not an integer") from None
 
 
+def _register_size(n) -> int:
+    """The register size n as an int; DimensionMismatch unless n is a non-negative integer.
+
+    Python and numpy integers pass; 4.0 and "4" do not.
+    """
+    try:
+        size = operator.index(n)
+    except TypeError:
+        raise DimensionMismatch(f"register size must be an integer, got {n!r}") from None
+    if size < 0:
+        raise DimensionMismatch(f"register size must be non-negative, got {size} qubits")
+    return size
+
+
 def _check_positions(positions, n_qubits: int) -> tuple[int, ...]:
     """The positions as ints, once they are checked to be distinct integer qubits of the register.
 
@@ -200,10 +215,7 @@ class CoherenceLabel:
                 raise PositionOutOfRange(
                     f"basis index {name} must be an integer, got {getattr(self, name)!r}"
                 ) from None
-        if self.n_qubits < 0:
-            raise DimensionMismatch(
-                f"register size must be non-negative, got {self.n_qubits} qubits"
-            )
+        object.__setattr__(self, "n_qubits", _register_size(self.n_qubits))
         dim = 1 << self.n_qubits
         if not (0 <= self.j < dim and 0 <= self.l < dim):
             raise PositionOutOfRange(

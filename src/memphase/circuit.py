@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DensityMatrix, _basis_bits, _check_positions, _position
+from .channel import DensityMatrix, _basis_bits, _check_positions, _position, _register_size
 from .errors import DimensionMismatch, PositionOutOfRange
 
 __all__ = [
@@ -93,13 +93,16 @@ def toffoli(control1: int, control2: int, target: int) -> Gate:
     return Gate("toffoli", target, (control1, control2))
 
 
-@functools.cache
+# typed, so that n_qubits = 4.0 misses the entry for 4 and meets the size check
+@functools.lru_cache(maxsize=None, typed=True)
 def gate_unitary(gate: Gate, n_qubits: int) -> np.ndarray:
     """Dense 2^n x 2^n unitary of the gate embedded at its positions.
 
     Built once per (gate, n_qubits); every caller shares the returned
-    read-only array.
+    read-only array.  A register size that is not a non-negative integer
+    raises DimensionMismatch.
     """
+    n_qubits = _register_size(n_qubits)
     _check_positions((gate.target, *gate.controls), n_qubits)
     one_qubit = _H2 if gate.kind == "h" else _X2
     u = np.ones((1, 1))
@@ -215,6 +218,7 @@ def _encoded_source() -> JointState:
 
 def partial_trace(matrix: np.ndarray, keep, n_qubits: int) -> np.ndarray:
     """Trace out every qubit not in ``keep`` (positions, ascending output order)."""
+    n_qubits = _register_size(n_qubits)
     keep = sorted(keep)
     _check_positions(keep, n_qubits)
     dim = 1 << n_qubits

@@ -9,9 +9,14 @@ zero-mean Gaussian with a Toeplitz covariance
 Two independent construction routes are provided: the spectral kernel
 integral and a 1-D time-domain quadrature of the autocorrelation, weighted
 by the overlap tau_p - |v| of two transit windows offset by v.  They must
-agree; the second exists purely as a cross-check of the first, and loads
-``scipy.integrate`` on its first call, so importing this module loads no
-scipy.
+agree; the second exists purely as a cross-check of the first.  It is a
+composite Gauss-Legendre rule in numpy alone: panels no wider than a
+quarter window or the spectrum's oscillation scale, each summed with 40 and
+60 nodes.  The gap between the two sums is its error estimate, bounded by
+ORDER_GAP_BOUND relative to the variance, and the panel count of one
+covariance is bounded by PANEL_BUDGET; past either bound it raises
+``DomainError``.  Its nodes are computed on first use, so importing this
+module loads no scipy and computes nothing.
 
 The scalar eta^2 fixes the single-use damping g = exp(-2*eta^2) and the
 single-use error probability epsilon = (1 - g)/2.
@@ -19,13 +24,14 @@ single-use error probability epsilon = (1 - g)/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, NotPositiveSemidefinite
-from .spectrum import PowerSpectrum, autocorrelation, kernel_integrals
+from .spectrum import PowerSpectrum, kernel_integrals
 
 __all__ = [
     "ChannelParams",
@@ -43,6 +49,13 @@ def _check_damping(g: float) -> None:
     if not 0.0 < g <= 1.0:
         raise DomainError(f"damping g must be in (0, 1], got {g}")
 
+
+# the time-domain route: how far its 40- and 60-node sums may differ, relative
+# to the variance integral; how many panels one covariance may take; how many
+# panels it evaluates at once
+ORDER_GAP_BOUND = 1e-10
+PANEL_BUDGET = 1_000_000
+_BATCH_PANELS = 1024
 
 # eigenvalues of Sigma may dip this far below zero (relative to eta^2)
 # before the covariance is rejected as inconsistent
@@ -168,6 +181,38 @@ def covariance_from_spectrum(spec: PowerSpectrum, params: ChannelParams) -> Phas
     return PhaseCovariance(eta_sq=params.coupling * params.coupling * i0, mu=mu)
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Legendre polynomials, and each weight is twice the squared first
+    component of its unit eigenvector.  Computed on first use.
+    """
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    weights = 2.0 * vectors[0] ** 2
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _breakpoints(params: ChannelParams, m: int) -> np.ndarray:
+    """Breakpoints of lag m's integral over u in [m*tau - tau_p, m*tau + tau_p].
+
+    The weight min(u - lo, hi - u) is tau_p - |v|, exact near either edge,
+    and kinks at u = m*tau.  C peaks at u = 0, or at lo when the windows are
+    apart; a decade grid on either side of that peak resolves any
+    correlation time.
+    """
+    lag = m * params.tau
+    lo, hi = lag - params.tau_p, lag + params.tau_p
+    peak = max(0.0, lo)
+    graded = (peak + side * params.tau_p * 10.0**-k for k in range(13) for side in (-1.0, 1.0))
+    return np.array(sorted({lo, lag, hi, *(u for u in graded if lo < u < hi)}))
+
+
 def covariance_from_autocorrelation(
     spec: PowerSpectrum, params: ChannelParams
 ) -> PhaseCovariance:
@@ -180,8 +225,20 @@ def covariance_from_autocorrelation(
 
         (lambda^2/4) * int_{-tau_p}^{tau_p} (tau_p - |v|) * C(m*tau + v) dv,
 
-    one quadrature per lag, taken in u = m*tau + v so that C is sampled at
-    its own argument however long the lag.
+    taken in u = m*tau + v so that C is sampled at its own argument however
+    long the lag.
+
+    The rule is composite Gauss-Legendre.  The breakpoints of each lag (the
+    triangle's kink and a 13-decade grid about C's peak) cut its range into
+    intervals, and each interval into equal panels no wider than
+    min(tau_p/4, ``spec.oscillation_scale()``).  Every panel is summed with
+    both 40 and 60 nodes, C evaluated on whole node arrays, _BATCH_PANELS
+    panels at a time, so memory does not grow with the panel count.  The
+    60-node sums are the result.  Their gap to the 40-node sums, in absolute
+    value and added over a lag's panels, is its error estimate, which must
+    not exceed ORDER_GAP_BOUND times the m = 0 integral; otherwise
+    ``DomainError``.  A covariance needing more than PANEL_BUDGET panels
+    raises ``DomainError`` before any is evaluated.
 
     Exists solely as an independent cross-check of the spectral route.
     White noise has no pointwise C(tau), so it raises
@@ -189,28 +246,49 @@ def covariance_from_autocorrelation(
     m = 0 entry) is not positive and finite, as for lambda = 0, since the
     correlations are then undefined.
     """
-    # imported on first use: scipy.integrate also loads scipy.optimize and
-    # scipy.sparse, and nothing but this cross-check route needs it
-    from scipy.integrate import quad
-
-    tau_p = params.tau_p
-    lam2_4 = params.coupling * params.coupling / 4.0
-    entries = np.empty(params.n_uses)
-    for m in range(params.n_uses):
-        lag = m * params.tau
-        lo, hi = lag - tau_p, lag + tau_p
-        # the weight min(u - lo, hi - u) is tau_p - |v|, exact near either
-        # edge, and kinks at u = lag.  C peaks at u = 0, or at lo when the
-        # windows are apart; a decade grid on either side of that peak
-        # resolves any correlation time.
-        peak = max(0.0, lo)
-        graded = (peak + side * tau_p * 10.0**-k for k in range(13) for side in (-1.0, 1.0))
-        points = sorted({lag, *(u for u in graded if lo < u < hi)})
-        val, _ = quad(
-            lambda u: min(u - lo, hi - u) * autocorrelation(spec, u),
-            lo, hi, points=points, epsabs=1e-13, epsrel=1e-12, limit=1000,
+    width = min(0.25 * params.tau_p, spec.oscillation_scale())
+    n = params.n_uses
+    breakpoints = [_breakpoints(params, m) for m in range(n)]
+    lo = np.array([b[0] for b in breakpoints])
+    hi = np.array([b[-1] for b in breakpoints])
+    # the intervals between breakpoints, of every lag in turn
+    left = np.concatenate([b[:-1] for b in breakpoints])
+    lengths = np.concatenate([np.diff(b) for b in breakpoints])
+    lag_of = np.repeat(np.arange(n), [b.size - 1 for b in breakpoints])
+    counts = np.ceil(lengths / width)
+    total = counts.sum()
+    if not total <= PANEL_BUDGET:
+        raise DomainError(
+            f"time-domain quadrature of {spec!r} needs {total:.3g} panels of width "
+            f"{width:.3g} over {n} lags, more than the budget of {PANEL_BUDGET}"
         )
-        entries[m] = lam2_4 * val
+    first_panel = np.cumsum(counts) - counts
+    steps = lengths / counts
+
+    (x40, w40), (x60, w60) = _gauss_legendre(40), _gauss_legendre(60)
+    nodes = np.concatenate((x40, x60))
+    sums = np.zeros(n)
+    gaps = np.zeros(n)
+    for start in range(0, int(total), _BATCH_PANELS):
+        panel = np.arange(start, min(start + _BATCH_PANELS, total), dtype=float)
+        k = np.searchsorted(first_panel, panel, side="right") - 1
+        half = 0.5 * steps[k]
+        mid = left[k] + (panel - first_panel[k] + 0.5) * steps[k]
+        u = mid[:, None] + half[:, None] * nodes
+        m = lag_of[k]
+        f = np.minimum(u - lo[m, None], hi[m, None] - u) * spec.autocorrelations(u)
+        s40 = half * (f[:, : x40.size] @ w40)
+        s60 = half * (f[:, x40.size :] @ w60)
+        sums += np.bincount(m, s60, minlength=n)
+        gaps += np.bincount(m, np.abs(s60 - s40), minlength=n)
+    worst = int(np.argmax(gaps))
+    if gaps[worst] > ORDER_GAP_BOUND * abs(sums[0]):
+        raise DomainError(
+            f"time-domain quadrature of {spec!r} at lag {worst * params.tau}: the 40- and "
+            f"60-node sums differ by {gaps[worst]:.3e}, more than {ORDER_GAP_BOUND} "
+            f"of the variance integral {sums[0]:.3e}"
+        )
+    entries = params.coupling * params.coupling / 4.0 * sums
     variance = float(entries[0])
     if not (math.isfinite(variance) and variance > 0.0):
         raise DomainError(

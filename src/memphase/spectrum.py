@@ -35,8 +35,12 @@ and every built-in spectrum has them in closed form:
 Each spectrum class carries its own formulas, including ``kernels``, which
 gives I(d) for many lags d one lag at a time; the module-level functions
 delegate to them, and ``kernel_integral`` is the one-lag case of
-``kernel_integrals``.  Only the 1/f formulas need scipy (the cosine
-integral Ci), which loads on their first use.  A 1/f covariance takes every
+``kernel_integrals``.  For the time-domain cross-check each spectrum also
+gives C on a whole array of arguments (``autocorrelations``) and the
+length over which C completes a few oscillations (``oscillation_scale``),
+which bounds the quadrature panels: 8*pi/omega_max for 1/f, unbounded for
+the Lorentzian, whose C never oscillates.  Only the 1/f formulas need
+scipy (the cosine integral Ci), which loads on their first use.  A 1/f covariance takes every
 Ci(a*w) of all its lags from one array ``sici`` call, which gives the same
 bits as one scalar call per value; the sines and the three-piece sum stay
 scalar Python arithmetic, lag by lag.
@@ -48,6 +52,8 @@ import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, WhiteNoiseUndefined
 
@@ -82,6 +88,12 @@ class _LagByLag:
         return (self.kernel(tau_p, d) for d in lags)
 
 
+_NO_POINTWISE_C = (
+    "pointwise C(tau) of white noise is a delta distribution with no "
+    "finite variance; use kernel_integral"
+)
+
+
 @dataclass(frozen=True)
 class White(_LagByLag):
     """Flat spectrum S(w) = level (units of signal^2 * time)."""
@@ -96,10 +108,13 @@ class White(_LagByLag):
         return self.level
 
     def autocorrelation(self, tau: float) -> float:
-        raise WhiteNoiseUndefined(
-            "pointwise C(tau) of white noise is a delta distribution with no "
-            "finite variance; use kernel_integral"
-        )
+        raise WhiteNoiseUndefined(_NO_POINTWISE_C)
+
+    def autocorrelations(self, taus: np.ndarray) -> np.ndarray:
+        raise WhiteNoiseUndefined(_NO_POINTWISE_C)
+
+    def oscillation_scale(self) -> float:
+        raise WhiteNoiseUndefined(_NO_POINTWISE_C)
 
     def kernel(self, tau_p: float, d: float) -> float:
         # the pieces J(a) = level*a/4 combine to a triangle of half-width tau_p
@@ -131,6 +146,13 @@ class Lorentzian(_LagByLag):
 
     def autocorrelation(self, tau: float) -> float:
         return self.variance * math.exp(-self.rate * abs(tau))
+
+    def autocorrelations(self, taus: np.ndarray) -> np.ndarray:
+        """C(tau) at every tau of an array."""
+        return self.variance * np.exp(-self.rate * np.abs(taus))
+
+    def oscillation_scale(self) -> float:
+        return math.inf
 
     def piece(self, a: float) -> float:
         return self.variance / (2.0 * self.rate**2) * _exp_remainder(self.rate * a)
@@ -186,6 +208,20 @@ class OneOverF:
         ci_hi = float(sici(self.omega_max * t)[1])
         ci_lo = float(sici(self.omega_min * t)[1])
         return self.amplitude / math.pi * (ci_hi - ci_lo)
+
+    def autocorrelations(self, taus: np.ndarray) -> np.ndarray:
+        """C(tau) at every tau of an array, with Ci at both cutoffs from one ``sici`` call."""
+        t = np.abs(taus)
+        ci = _sici()(np.stack((self.omega_max * t, self.omega_min * t)))[1]
+        # Ci(0) = -inf at both cutoffs, whose difference tends to the log below
+        with np.errstate(invalid="ignore"):
+            c = ci[0] - ci[1]
+        c[t == 0.0] = math.log(self.omega_max / self.omega_min)
+        return self.amplitude / math.pi * c
+
+    def oscillation_scale(self) -> float:
+        # four periods of cos(omega_max * t), the fastest term of C
+        return 8.0 * math.pi / self.omega_max
 
     def _piece(self, a: float, ci_hi: float, ci_lo: float) -> float:
         """J(a), given Ci(a*omega_max) and Ci(a*omega_min)."""

@@ -97,6 +97,15 @@ class TestCoherenceLabel:
         with pytest.raises(DimensionMismatch, match="non-negative"):
             CoherenceLabel(0, 1, -1)
 
+    @pytest.mark.parametrize("n_qubits", [1.5, 4.0, "4"])
+    def test_non_integer_register_size(self, n_qubits):
+        with pytest.raises(DimensionMismatch, match="register size must be an integer"):
+            CoherenceLabel(0, 1, n_qubits)
+
+    def test_numpy_integer_register_size_read_as_int(self):
+        label = CoherenceLabel(0, 1, np.int64(3))
+        assert type(label.n_qubits) is int and label == CoherenceLabel(0, 1, 3)
+
     @pytest.mark.parametrize("j,l", [(1.5, 2), (2, 1.5), (1.0, 2), (2, "1")])
     def test_non_integer_index(self, j, l):
         with pytest.raises(PositionOutOfRange, match="must be an integer"):

@@ -111,6 +111,13 @@ class TestGates:
         with pytest.raises(PositionOutOfRange):
             gate_unitary(hadamard(5), 3)
 
+    @pytest.mark.parametrize("n_qubits", [4.0, 4.5, "4", -1])
+    def test_register_size_not_a_non_negative_integer(self, n_qubits):
+        # the entry for the integer 4 is cached first: 4.0 must not read it
+        gate_unitary(hadamard(1), 4)
+        with pytest.raises(DimensionMismatch, match="register size must be"):
+            gate_unitary(hadamard(1), n_qubits)
+
 
 class TestPreparation:
     def test_reduced_source_is_maximally_mixed(self):
@@ -311,6 +318,11 @@ class TestPartialTrace:
     def test_matrix_of_another_register(self):
         with pytest.raises(DimensionMismatch, match="16 x 16"):
             partial_trace(np.eye(8) / 8, (0, 1), 4)
+
+    @pytest.mark.parametrize("n_qubits", [4.0, 3.5, -1])
+    def test_register_size_not_a_non_negative_integer(self, n_qubits):
+        with pytest.raises(DimensionMismatch, match="register size must be"):
+            partial_trace(np.eye(16) / 16, (0, 1), n_qubits)
 
 
 class TestPositionChecks:

@@ -574,6 +574,9 @@ class TestMainEntry:
                 "validate", "tau_p = 1e-300\ntau = 1\n", id="validate-kernel-underflow"
             ),
             pytest.param("validate", "coupling = 0\n", id="validate-noiseless"),
+            pytest.param(
+                "validate", "spectrum = one_over_f\nomega_max = 1e12\n", id="validate-panel-budget"
+            ),
         ]
         + [
             pytest.param(command, config_text, id=f"{command}-{name}")

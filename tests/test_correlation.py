@@ -1,6 +1,7 @@
 """Phase covariance construction, feasibility, and route equivalence."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.linalg import toeplitz
 
 from memphase.codes import fe_single
 from memphase.correlation import (
+    PANEL_BUDGET,
     ChannelParams,
     PhaseCovariance,
     check_mu_feasible,
@@ -231,6 +233,56 @@ class TestTimeDomainRoute:
         c_time = covariance_from_autocorrelation(spec, params)
         assert c_time.eta_sq == pytest.approx(c_spec.eta_sq, rel=1e-10, abs=0.0)
         np.testing.assert_allclose(c_time.mu, c_spec.mu, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "omega_max,tau",
+        [
+            pytest.param(
+                x, k, id=f"one_over_f-{x:.0e}-tau={k:g}",
+                marks=pytest.mark.skipif(
+                    x > 1e5 and not os.environ.get("CI"), reason="about 3 s each; runs in CI"
+                ),
+            )
+            for x in (1e4, 1e5, 1e6)
+            for k in (1.0, 3.0)
+        ]
+        + [pytest.param(1e3, 1.5, id="one_over_f-1e+03-tau=1.5")],
+    )
+    def test_wide_one_over_f_band_meets_route_tolerance(self, omega_max, tau):
+        # C(u) oscillates about omega_max * tau_p / pi times per window
+        spec = OneOverF(1.0, 0.1, omega_max)
+        params = ChannelParams(1.0, 1.0, tau, 3)
+        c_spec = covariance_from_spectrum(spec, params)
+        c_time = covariance_from_autocorrelation(spec, params)
+        assert c_time.eta_sq == pytest.approx(c_spec.eta_sq, rel=1e-7, abs=0.0)
+        np.testing.assert_allclose(c_time.mu, c_spec.mu, rtol=0.0, atol=1e-7)
+
+    def test_orders_that_disagree_raise(self):
+        # a step at |u| = 0.37 tau_p lies inside a panel of lag 0, where no
+        # polynomial rule converges
+        class Step:
+            def oscillation_scale(self):
+                return math.inf
+
+            def autocorrelations(self, taus):
+                return np.where(np.abs(taus) < 0.37, 1.0, 0.5)
+
+        with pytest.raises(DomainError, match="40- and 60-node sums differ"):
+            covariance_from_autocorrelation(Step(), ChannelParams(1.0, 1.0, 1.0, 3))
+
+    def test_panel_budget_raises_before_any_panel_runs(self):
+        width = 2.0 / PANEL_BUDGET  # lag 0 alone needs PANEL_BUDGET panels and more
+
+        class Fast:
+            def oscillation_scale(self):
+                return width
+
+            def autocorrelations(self, taus):
+                raise AssertionError("a panel was evaluated")
+
+        with pytest.raises(DomainError, match="more than the budget"):
+            covariance_from_autocorrelation(Fast(), ChannelParams(1.0, 1.0, 1.0, 3))
 
     @pytest.mark.parametrize("coupling", [0.0, 1e200])
     def test_rejects_variance_that_is_zero_or_overflows(self, coupling):

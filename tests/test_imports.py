@@ -1,7 +1,8 @@
-"""Importing memphase and running its closed-form commands load no heavy scipy.
+"""Importing memphase and running its commands load no heavy scipy.
 
-scipy.special loads only for the 1/f spectrum's cosine integral, and the
-time-domain cross-check route loads scipy.integrate.
+scipy.special loads only for the 1/f spectrum's cosine integral; the
+time-domain cross-check route is numpy alone, so no path loads
+scipy.integrate, scipy.linalg, scipy.optimize or scipy.sparse.
 
 The check runs in a fresh interpreter: the test process itself has long
 since loaded scipy.linalg and scipy.integrate through other test modules.
@@ -35,8 +36,7 @@ from memphase import (
 from memphase.cli import RunConfig, cmd_decay, cmd_fig2, cmd_fig3
 from memphase.spectrum import Lorentzian
 
-# scipy subpackages that only the 1/f spectrum and the time-domain
-# cross-check route may load
+# scipy subpackages no path may load, but for scipy.special in the 1/f spectrum
 HEAVY = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special")
 
 
@@ -66,16 +66,36 @@ print(json.dumps({
 }))
 """
 
+VALIDATE_ONE_OVER_F = """
+import json
+import sys
 
-def test_closed_form_paths_load_no_heavy_scipy():
+from memphase.cli import RunConfig, cmd_validate
+
+HEAVY = ("scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.special")
+
+cmd_validate(RunConfig(spectrum="one_over_f", mc_samples=2000))
+print(json.dumps(sorted({m.split(".")[1] for m in sys.modules if m.startswith(HEAVY)})))
+"""
+
+
+def _run(script: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
-    result = json.loads(out.splitlines()[-1])
+    return out.splitlines()[-1]
+
+
+def test_closed_form_paths_load_no_heavy_scipy():
+    result = json.loads(_run(SCRIPT))
     assert result["before"] == []
-    # the time-domain route still works, and loading it is what the check sees
-    assert "scipy.integrate" in result["after"]
+    # the Lorentzian time-domain route works and loads no scipy at all
+    assert result["after"] == []
     assert result["dev_eta"] <= 1e-7
     assert result["dev_mu"] <= 1e-7
+
+
+def test_one_over_f_validate_loads_only_scipy_special():
+    assert json.loads(_run(VALIDATE_ONE_OVER_F)) == ["special"]

@@ -101,6 +101,23 @@ class TestAutocorrelation:
         with pytest.raises(WhiteNoiseUndefined):
             autocorrelation(White(1.0), 0.0)
 
+    @pytest.mark.parametrize(
+        "spec,rtol",
+        [(OneOverF(1.0, 0.1, 10.0), 0.0), (OneOverF(2.0, 1e-3, 1e5), 0.0), (Lorentzian(2.0, 0.5), 1e-15)],
+        ids=["one_over_f-narrow", "one_over_f-wide", "lorentzian"],
+    )
+    def test_array_form_matches_scalar_form(self, spec, rtol):
+        # zero included, where Ci(0) = -inf at both 1/f cutoffs
+        taus = np.array([[0.0, 1e-12, -0.3], [1.0, 7.5, 1e6]])
+        want = [[autocorrelation(spec, t) for t in row] for row in taus.tolist()]
+        np.testing.assert_allclose(spec.autocorrelations(taus), want, rtol=rtol, atol=0.0)
+
+    def test_white_has_no_array_form_or_oscillation_scale(self):
+        with pytest.raises(WhiteNoiseUndefined):
+            White(1.0).autocorrelations(np.zeros(3))
+        with pytest.raises(WhiteNoiseUndefined):
+            White(1.0).oscillation_scale()
+
 
 class TestKernelIntegral:
     @pytest.mark.parametrize(
