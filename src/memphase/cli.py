@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .channel import CoherenceLabel, _decay_factor_and_exponent, decay_factor
+from .channel import CoherenceLabel, _decay_factors_and_exponents, decay_factor
 from .codes import _fe_tqc, fe_tqc_memory, fe_tqc_via_circuit, pe_two_qubit
 from .correlation import (
     ChannelParams,
@@ -146,10 +146,11 @@ def _metadata(config: RunConfig, command: str) -> list[str]:
     ]
 
 
-def _parse_labels(config: RunConfig) -> list[CoherenceLabel]:
+def _parse_labels(config: RunConfig) -> list[tuple[int, int]]:
+    """The basis pairs (j, l) whose decay factors ``decay`` prints."""
     n = config.n_uses
     if config.labels:
-        labels = []
+        pairs = []
         for item in config.labels.split(","):
             item = item.strip()
             if ":" not in item:
@@ -163,16 +164,15 @@ def _parse_labels(config: RunConfig) -> list[CoherenceLabel]:
                     f"field 'labels': {item!r} does not match n_uses={n}"
                 )
             try:
-                labels.append(CoherenceLabel.from_bitstrings(j, l))
+                label = CoherenceLabel.from_bitstrings(j, l)
             except ValueError as exc:
                 raise ConfigError(f"field 'labels': {item!r}: {exc}") from exc
-        return labels
+            pairs.append((label.j, label.l))
+        return pairs
     if n <= 3:
         dim = 1 << n
-        return [
-            CoherenceLabel(j, l, n) for j in range(dim) for l in range(dim) if j <= l
-        ]
-    return [CoherenceLabel(0, (1 << n) - 1, n)]
+        return [(j, l) for j in range(dim) for l in range(j, dim)]
+    return [(0, (1 << n) - 1)]
 
 
 def cmd_decay(config: RunConfig) -> str:
@@ -193,11 +193,13 @@ def cmd_decay(config: RunConfig) -> str:
     lines.extend(f"{m},{mu_m:.12e}" for m, mu_m in enumerate(cov.mu.tolist()))
     lines.append("")
     lines.append("j,l,exponent,decay")
-    for label in _parse_labels(config):
-        j_bits = format(label.j, f"0{config.n_uses}b")
-        l_bits = format(label.l, f"0{config.n_uses}b")
+    pairs = _parse_labels(config)
+    rows = _decay_factors_and_exponents(pairs, cov)
+    width = f"0{cov.n_uses}b"
+    for j, l in pairs:
+        j_bits, l_bits = format(j, width), format(l, width)
         try:
-            d, exponent = _decay_factor_and_exponent(label, cov)
+            d, exponent = next(rows)
         except ArithmeticError as exc:
             raise ConfigError(f"decay factor of {j_bits}:{l_bits}: {exc}") from exc
         lines.append(f"{j_bits},{l_bits},{exponent:.12e},{d:.12e}")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,10 +68,11 @@ class ChannelParams:
     """Timing and coupling of the transmission line.
 
     coupling : phase accumulated per unit drive per unit time (lambda), finite
-    tau_p    : transit time of one carrier, > 0
-    tau      : spacing between consecutive carriers, >= tau_p so windows
-               never overlap
-    n_uses   : number of carriers sent, >= 1
+    tau_p    : transit time of one carrier, finite and > 0
+    tau      : spacing between consecutive carriers, finite and >= tau_p so
+               windows never overlap
+    n_uses   : number of carriers sent, an integer >= 1 (read with
+               ``operator.index``, so 2.5, 3.0 and "3" are refused)
     """
 
     coupling: float
@@ -79,8 +81,13 @@ class ChannelParams:
     n_uses: int
 
     def __post_init__(self):
-        if not math.isfinite(self.coupling):
-            raise DomainError(f"coupling must be finite, got {self.coupling}")
+        for name in ("coupling", "tau_p", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        try:
+            object.__setattr__(self, "n_uses", operator.index(self.n_uses))
+        except TypeError:
+            raise DomainError(f"n_uses must be an integer, got {self.n_uses!r}") from None
         if not self.tau_p > 0.0:
             raise DomainError(f"tau_p must be positive, got {self.tau_p}")
         if not self.tau >= self.tau_p:

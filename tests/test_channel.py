@@ -146,6 +146,41 @@ class TestCoherenceLabel:
             CoherenceLabel.from_bitstrings("111", bits)
 
 
+class TestBasisBits:
+    @pytest.mark.parametrize("n", [64, 70, 100])
+    def test_wide_index_arrays_read_exactly(self, rng, n):
+        # bits set on both sides of bit 63, which int64 shifts cannot reach;
+        # a wrapped read would lose or flip the high bits
+        indices = [
+            int("".join(map(str, rng.integers(0, 2, n))), 2) | (1 << (n - 1)) | 1
+            for _ in range(6)
+        ]
+        positions = [int(p) for p in rng.permutation(n)]
+        want = np.array([[(i >> (n - 1 - p)) & 1 for p in positions] for i in indices])
+        forms = {"list": indices, "object": np.array(indices, dtype=object)}
+        if n == 64:
+            forms["uint64"] = np.array(indices, dtype=np.uint64)
+        for name, form in forms.items():
+            got = _basis_bits(form, n, positions)
+            assert got.dtype == np.int64, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        pairs = np.array(indices, dtype=object).reshape(3, 2)
+        np.testing.assert_array_equal(
+            _basis_bits(pairs, n, positions), want.reshape(3, 2, n)
+        )
+
+    def test_narrow_indices_on_a_wide_register_read_exactly(self):
+        # int64 indices below 2^63 on 70 qubits: the top positions are 0
+        indices = np.array([0, 1, (1 << 63) - 1], dtype=np.int64)
+        want = [[(int(i) >> (69 - p)) & 1 for p in range(70)] for i in indices]
+        np.testing.assert_array_equal(_basis_bits(indices, 70, range(70)), want)
+
+    @pytest.mark.parametrize("n", [3, 70])
+    def test_non_integer_indices_raise(self, n):
+        with pytest.raises(TypeError):
+            _basis_bits(np.array([1.0, 2.0]), n, range(n))
+
+
 class TestDecayFactor:
     def test_population_undamped(self):
         cov = PhaseCovariance.from_damping(0.5, [1.0, 0.3, 0.1])

@@ -7,8 +7,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from memphase.channel import (
+    CoherenceLabel,
+    _decay_factors_and_exponents,
+    decay_exponent,
+    decay_factor,
+)
 from memphase.cli import (
     RunConfig,
+    _parse_labels,
     _suite_mc_fidelity,
     _suite_route_equivalence,
     cmd_decay,
@@ -446,10 +453,11 @@ def decay_config(spectrum, n_uses, spacing):
 
 class TestDecayBytes:
     """The kernels of a covariance share one cosine-integral call and the
-    labels read Python ints; the decay rows must not change by a byte."""
+    weights of all labels come from one bit read, exact past 63 qubits; the
+    decay rows must not change by a byte."""
 
     @pytest.mark.parametrize("spacing", [1.0, 1.7, 40.0], ids=["tau-tp", "tau-1.7tp", "tau-40tp"])
-    @pytest.mark.parametrize("n_uses", [1, 3, 9, 33, 70])
+    @pytest.mark.parametrize("n_uses", [1, 3, 9, 33, 63, 64, 70])
     @pytest.mark.parametrize("spectrum", list(DECAY_SPECTRA))
     def test_decay_rows(self, spectrum, n_uses, spacing):
         config = decay_config(spectrum, n_uses, spacing)
@@ -459,6 +467,24 @@ class TestDecayBytes:
         eta_line, rows = reference_decay(config)
         assert eta_line in text.splitlines()
         assert_same_rows(data_rows(text), rows)
+
+    @pytest.mark.parametrize("n_uses", [3, 33, 64, 70])
+    @pytest.mark.parametrize("spectrum", ["lorentzian", "one_over_f-1000"])
+    def test_rows_equal_the_one_label_functions(self, spectrum, n_uses):
+        # the one weight read of all labels gives, row by row, the values of
+        # decay_factor and decay_exponent, unrounded and as printed
+        config = decay_config(spectrum, n_uses, 1.7)
+        cov = covariance_from_spectrum(config.make_spectrum(), config.make_channel_params())
+        pairs = _parse_labels(config)
+        rows = data_rows(cmd_decay(config))
+        rows = rows[rows.index("j,l,exponent,decay") + 1 :]
+        assert len(rows) == len(pairs) == (36 if n_uses == 3 else 6)
+        for row, (j, l), (d, exponent) in zip(rows, pairs, _decay_factors_and_exponents(pairs, cov)):
+            label = CoherenceLabel(j, l, n_uses)
+            assert (d, exponent) == (decay_factor(label, cov), decay_exponent(label, cov))
+            j_bits, l_bits = row.split(",")[:2]
+            assert CoherenceLabel.from_bitstrings(j_bits, l_bits) == label
+            assert row == f"{j_bits},{l_bits},{exponent:.12e},{d:.12e}"
 
     def test_later_lag_failure_names_its_lag(self):
         # lag 0 is finite; the second lag's sine argument a * omega_max is inf
@@ -611,6 +637,24 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith(
             "config error: channel parameters: coupling must be finite"
         )
+
+    @pytest.mark.parametrize("command", ["decay", "validate"])
+    @pytest.mark.parametrize("spectrum", ["white", "lorentzian", "one_over_f"])
+    @pytest.mark.parametrize("timing", ["tau = inf\n", "tau_p = inf\ntau = inf\n"], ids=["tau", "both"])
+    def test_non_finite_timing_exit_code(self, tmp_path, capsys, command, spectrum, timing):
+        text = f"spectrum = {spectrum}\n{timing}"
+        code = main([command, "--config", write_config(tmp_path, text)])
+        assert code == 2
+        first = "tau" if timing.startswith("tau =") else "tau_p"
+        assert capsys.readouterr().err == (
+            f"config error: channel parameters: {first} must be finite, got inf\n"
+        )
+
+    @pytest.mark.parametrize("spectrum", ["white", "lorentzian"])
+    def test_largest_finite_spacing_runs(self, tmp_path, capsys, spectrum):
+        text = f"spectrum = {spectrum}\ntau = 1e308\n"
+        assert main(["decay", "--config", write_config(tmp_path, text)]) == 0
+        assert "\n1,0.000000000000e+00\n" in capsys.readouterr().out
 
     def test_removed_dt_key_exit_code(self, tmp_path, capsys):
         code = main(["decay", "--config", write_config(tmp_path, "dt = 0.005\n")])

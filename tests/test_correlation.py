@@ -54,6 +54,24 @@ class TestChannelParams:
         with pytest.raises(DomainError):
             ChannelParams(1.0, 0.0, 1.0, 2)
 
+    @pytest.mark.parametrize("n_uses", [2.5, 3.0, "3"])
+    def test_non_integer_use_count(self, n_uses):
+        with pytest.raises(DomainError, match="n_uses must be an integer"):
+            covariance_from_spectrum(Lorentzian(1, 1), ChannelParams(1.0, 1.0, 1.0, n_uses))
+
+    def test_numpy_integer_use_count_read_as_int(self):
+        params = ChannelParams(1.0, 1.0, 1.0, np.int64(3))
+        assert type(params.n_uses) is int and params == ChannelParams(1.0, 1.0, 1.0, 3)
+
+    @pytest.mark.parametrize(
+        "tau_p, tau",
+        [(1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0), (1.0, math.nan)],
+        ids=["tau-inf", "both-inf", "tau_p-nan", "tau-nan"],
+    )
+    def test_non_finite_timing(self, tau_p, tau):
+        with pytest.raises(DomainError, match="must be finite"):
+            ChannelParams(1.0, tau_p, tau, 3)
+
 
 class TestPhaseCovariance:
     def test_g_is_exact_exponential(self):
