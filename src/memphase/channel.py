@@ -111,9 +111,10 @@ basis index (leftmost factor of the tensor product), a position is an
 integer (read with ``operator.index``, so 1.5 is refused, not truncated), a
 list of positions names distinct qubits of the register, and a register size
 is a non-negative integer, read the same way.  This module owns the
-convention: ``_basis_bits`` is the one bit reader, ``_check_positions`` the
-one position check and ``_register_size`` the one size check, for the
-channel and the circuit layer alike.
+convention: ``_basis_bits`` is the one bit reader, ``_read_bitstrings``
+the one bitstring reader, ``_check_positions`` the one position check and
+``_register_size`` the one size check, for the channel, the circuit layer
+and the command line alike.
 """
 
 from __future__ import annotations
@@ -211,6 +212,17 @@ def _check_positions(positions, n_qubits: int) -> tuple[int, ...]:
     return positions
 
 
+def _read_bitstrings(j: str, l: str) -> tuple[int, int]:
+    """(j, l) read from two 0/1 bitstrings, position 0 first; their lengths must agree."""
+    if len(j) != len(l):
+        raise DimensionMismatch(f"bitstrings differ in length: {j!r} vs {l!r}")
+    # int(x, 2) alone also takes a sign, a 0b prefix and underscores
+    if not set(j + l) <= {"0", "1"}:
+        raise DomainError(f"bitstrings must be made of 0 and 1, got {j!r}, {l!r}")
+    # a leading 0 changes no value, and reads the empty 0-qubit label as 0
+    return int("0" + j, 2), int("0" + l, 2)
+
+
 def _hermiticity_defect(m: np.ndarray) -> float:
     """max |m - m^H|, compared in row blocks of HERMITICITY_BLOCK rows."""
     b = HERMITICITY_BLOCK
@@ -245,13 +257,7 @@ class CoherenceLabel:
 
     @classmethod
     def from_bitstrings(cls, j: str, l: str) -> "CoherenceLabel":
-        if len(j) != len(l):
-            raise DimensionMismatch(f"bitstrings differ in length: {j!r} vs {l!r}")
-        # int(x, 2) alone also takes a sign, a 0b prefix and underscores
-        if not set(j + l) <= {"0", "1"}:
-            raise DomainError(f"bitstrings must be made of 0 and 1, got {j!r}, {l!r}")
-        # a leading 0 changes no value, and reads the empty 0-qubit label as 0
-        return cls(int("0" + j, 2), int("0" + l, 2), len(j))
+        return cls(*_read_bitstrings(j, l), len(j))
 
     @functools.cached_property
     def s(self) -> np.ndarray:
@@ -396,14 +402,6 @@ def _decay_factors_and_exponents(
         yield d_power, exponent
 
 
-def _decay_factor_and_exponent(
-    label: CoherenceLabel, cov: PhaseCovariance
-) -> tuple[float, float]:
-    """(D_jl, E) with E = ``decay_exponent``; see ``decay_factor``."""
-    _check_size(label, cov)
-    return next(_decay_factors_and_exponents([(label.j, label.l)], cov))
-
-
 def decay_factor(label: CoherenceLabel, cov: PhaseCovariance) -> float:
     """Coherence decay factor D_jl in (0, 1] for one transmission round.
 
@@ -411,7 +409,8 @@ def decay_factor(label: CoherenceLabel, cov: PhaseCovariance) -> float:
     cross-checks it against the covariance-exponential form
     exp(-2 s^T Sigma s).
     """
-    return _decay_factor_and_exponent(label, cov)[0]
+    _check_size(label, cov)
+    return next(_decay_factors_and_exponents([(label.j, label.l)], cov))[0]
 
 
 def _decay_matrix(bits: np.ndarray, cov: PhaseCovariance) -> tuple[np.ndarray, np.ndarray]:

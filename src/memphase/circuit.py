@@ -9,14 +9,16 @@ to the +/- basis with Hadamards, so that dephasing during transmission acts
 like bit flips on the codewords.  Decoding rotates back, uncopies, and
 applies a Toffoli that coherently corrects the single-flip syndromes.
 
-Gates run as one loop over raw matrices, m = u @ m @ u^H, with each gate's
-(u, u^H) pair built once per gate; ``tqc_encode``, ``tqc_decode`` and
-``apply_gate`` (the one-gate case, which alone checks that R is untouched)
-wrap the result in a ``JointState`` only at the end.  The encoded source,
-``tqc_encode(prepare_bell_with_ancillas())``, is built here once and shared
-read-only (``_encoded_source``): ``codes.fe_tqc_via_circuit`` sends it
-through the channel and ``_code_weights`` reads its fidelity polynomial off
-it, so the package encodes in one place.
+Gates run as one loop over raw matrices, m = u @ m @ u, each u the
+``gate_unitary`` of its gate: a Hadamard, CNOT or Toffoli embedded in the
+register is real and symmetric, so u is its own adjoint.  ``tqc_encode``,
+``tqc_decode`` and ``apply_gate`` (the one-gate case, which alone checks
+that R is untouched) wrap the result in a ``JointState`` only at the end.
+The encoded source, ``tqc_encode(prepare_bell_with_ancillas())``, is built
+here once and shared read-only (``_encoded_source``):
+``codes.fe_tqc_via_circuit`` sends it through the channel and
+``_code_weights`` reads its fidelity polynomial off it, so the package
+encodes in one place.
 
 A state is validated where it enters from outside and where the channel
 makes it, nowhere else: a Hadamard, basis permutation or +-1 diagonal
@@ -136,27 +138,16 @@ class JointState:
 
 def prepare_bell_with_ancillas() -> JointState:
     """|bell>_RQ (x) |00>_AB: the purified maximally mixed source plus ancillas."""
-    psi = np.zeros(16, dtype=complex)
-    psi[0b0000] = 1.0 / math.sqrt(2.0)
-    psi[0b1100] = 1.0 / math.sqrt(2.0)
+    psi = np.kron(bell_state_rq(), [1.0, 0.0, 0.0, 0.0])
     return JointState(DensityMatrix.from_state_vector(psi))
-
-
-@functools.cache
-def _conjugation(gate: Gate) -> tuple[np.ndarray, np.ndarray]:
-    """(u, u^H) of the gate on the joint register, built once per gate; both read-only."""
-    u = gate_unitary(gate, 4)
-    u_h = u.conj().T
-    u_h.flags.writeable = False
-    return u, u_h
 
 
 def _run_gates(state: JointState, gates) -> JointState:
     """Conjugate the joint state by each gate in turn, as raw matrices, m = u @ m @ u^H."""
     m = state.rho.matrix
     for gate in gates:
-        u, u_h = _conjugation(gate)
-        m = u @ m @ u_h
+        u = gate_unitary(gate, 4)
+        m = u @ m @ u  # every gate unitary is real and symmetric, so u^H = u
     return JointState(DensityMatrix(m, validate=False))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .channel import CoherenceLabel, _decay_factors_and_exponents, decay_factor
+from .channel import CoherenceLabel, _decay_factors_and_exponents, _read_bitstrings, decay_factor
 from .codes import _fe_tqc, fe_tqc_memory, fe_tqc_via_circuit, pe_two_qubit
 from .correlation import (
     ChannelParams,
@@ -105,13 +105,12 @@ class RunConfig:
         return cls(**values)
 
     def make_spectrum(self) -> PowerSpectrum:
-        kind = self.spectrum.lower()
         try:
-            if kind == "white":
+            if self.spectrum == "white":
                 return White(self.level)
-            if kind == "lorentzian":
+            if self.spectrum == "lorentzian":
                 return Lorentzian(self.sigma2, self.gamma)
-            if kind in ("one_over_f", "1/f", "oneoverf"):
+            if self.spectrum == "one_over_f":
                 return OneOverF(self.amplitude, self.omega_min, self.omega_max)
         except DomainError as exc:
             raise ConfigError(f"spectrum parameters: {exc}") from exc
@@ -164,10 +163,9 @@ def _parse_labels(config: RunConfig) -> list[tuple[int, int]]:
                     f"field 'labels': {item!r} does not match n_uses={n}"
                 )
             try:
-                label = CoherenceLabel.from_bitstrings(j, l)
+                pairs.append(_read_bitstrings(j, l))
             except ValueError as exc:
                 raise ConfigError(f"field 'labels': {item!r}: {exc}") from exc
-            pairs.append((label.j, label.l))
         return pairs
     if n <= 3:
         dim = 1 << n

@@ -21,11 +21,12 @@ class QuadratureNonConvergence(ArithmeticError):
     """
 
 
-class NotPositiveSemidefinite(ValueError):
+class NotPositiveSemidefinite(DomainError):
     """A covariance or density matrix has a negative eigenvalue beyond tolerance.
 
     For a phase covariance it means the correlation coefficients are
-    mutually inconsistent: no Gaussian phase vector has them.
+    mutually inconsistent: no Gaussian phase vector has them.  The commands
+    report it, as every DomainError, as a config error.
     """
 
 

@@ -98,6 +98,27 @@ class TestGates:
                     bits[gate.target] = "1" if bits[gate.target] == "0" else "0"
                 assert np.array_equal(u[:, i], np.eye(1 << n)[int("".join(bits), 2)])
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_gate_is_its_own_adjoint(self, n):
+        # the gate loop conjugates by u on both sides, reading u^H as u
+        positions = range(n)
+        gates = (
+            [hadamard(t) for t in positions]
+            + [cnot(c, t) for c, t in itertools.permutations(positions, 2)]
+            + [toffoli(c1, c2, t) for c1, c2, t in itertools.permutations(positions, 3)]
+        )
+        for gate in gates:
+            u = gate_unitary(gate, n)
+            assert u.imag.tobytes() == np.zeros((1 << n, 1 << n)).tobytes()
+            assert u.tobytes() == u.T.copy().tobytes()
+            square = (u @ u).real
+            if gate.kind == "h":
+                # (1/sqrt 2)^2 + (1/sqrt 2)^2 rounds to 1 - 2^-52
+                eps = np.finfo(float).eps
+                np.testing.assert_allclose(square, np.eye(1 << n), rtol=0.0, atol=eps)
+            else:
+                assert np.array_equal(square, np.eye(1 << n))
+
     def test_repeated_calls_share_one_read_only_array(self):
         u = gate_unitary(cnot(1, 2), 4)
         assert gate_unitary(cnot(1, 2), 4) is u

@@ -96,6 +96,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="spectrum"):
             RunConfig(spectrum="pink").make_spectrum()
 
+    @pytest.mark.parametrize("kind", ["1/f", "oneoverf", "One_Over_F", "WHITE", "Lorentzian"])
+    def test_other_spellings_are_unknown_kinds(self, tmp_path, capsys, kind):
+        # one experiment, one spelling, one config hash
+        code = main(["decay", "--config", write_config(tmp_path, f"spectrum = {kind}\n")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: field 'spectrum': unknown kind {kind!r} "
+            "(expected white | lorentzian | one_over_f)\n"
+        )
+
     def test_every_key_at_its_default_parses_back(self, tmp_path):
         # the casters come from the field defaults; None-default fields are strings
         text = "".join(
@@ -162,6 +172,21 @@ class TestDecayCommand:
         assert capsys.readouterr().err.startswith(
             f"config error: field 'labels': {labels!r}: bitstrings must be made of 0 and 1"
         )
+
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            ("000", "expected 'jbits:lbits', got '000'"),
+            ("00:111", "'00:111' does not match n_uses=3"),
+            ("0a1:111", "'0a1:111': bitstrings must be made of 0 and 1, got '0a1', '111'"),
+            ("000:111,", "expected 'jbits:lbits', got ''"),
+        ],
+        ids=["no-colon", "wrong-width", "bad-character", "empty-item"],
+    )
+    def test_bad_label_stderr(self, tmp_path, capsys, labels, message):
+        code = main(["decay", "--config", write_config(tmp_path, f"labels = {labels}\n")])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: field 'labels': {message}\n"
 
     def test_decay_cross_check_failure_exit_code(self, tmp_path, capsys):
         # g is subnormal (~1e-322), so g**E and exp(-2 s^T Sigma s) disagree
@@ -603,6 +628,13 @@ class TestMainEntry:
             pytest.param(
                 "validate", "spectrum = one_over_f\nomega_max = 1e12\n", id="validate-panel-budget"
             ),
+        ]
+        + [
+            # the 1/f closed form cancels at lags ~1e12, and the mu it gives admit no covariance
+            pytest.param(
+                command, "spectrum = one_over_f\ntau = 1e12\nn_uses = 200\n", id=f"{command}-not-psd"
+            )
+            for command in ("decay", "validate")
         ]
         + [
             pytest.param(command, config_text, id=f"{command}-{name}")
