@@ -9,11 +9,17 @@ to the +/- basis with Hadamards, so that dephasing during transmission acts
 like bit flips on the codewords.  Decoding rotates back, uncopies, and
 applies a Toffoli that coherently corrects the single-flip syndromes.
 
-Gates run as one loop over raw matrices, m = u @ m @ u, each u the
-``gate_unitary`` of its gate: a Hadamard, CNOT or Toffoli embedded in the
-register is real and symmetric, so u is its own adjoint.  ``tqc_encode``,
-``tqc_decode`` and ``apply_gate`` (the one-gate case, which alone checks
-that R is untouched) wrap the result in a ``JointState`` only at the end.
+Gates run as one loop over raw matrices (``_run_gates``).  A Hadamard stays
+dense, m = u @ m @ u with u its ``gate_unitary``, which is real and
+symmetric and so its own adjoint.  A run of consecutive controlled gates
+(CNOT, Toffoli) is one basis permutation p, composed once per gate tuple
+(``_gate_plan``), and goes by index as one take, m[np.ix_(p, p)]: O(dim^2)
+where the dense products cost O(dim^3).  The take is exact: each entry of a
+product with a 0/1 permutation matrix adds one exact term, 1 * x, to zeros,
+so the take gives the same values, and it keeps the sign of a zero entry
+where a product may turn -0 into +0.  ``tqc_encode``, ``tqc_decode`` and
+``apply_gate`` (the one-gate case, which alone checks that R is untouched)
+run this one loop and wrap the result in a ``JointState`` only at the end.
 The encoded source, ``tqc_encode(prepare_bell_with_ancillas())``, is built
 here once and shared read-only (``_encoded_source``):
 ``codes.fe_tqc_via_circuit`` sends it through the channel and
@@ -142,12 +148,43 @@ def prepare_bell_with_ancillas() -> JointState:
     return JointState(DensityMatrix.from_state_vector(psi))
 
 
-def _run_gates(state: JointState, gates) -> JointState:
-    """Conjugate the joint state by each gate in turn, as raw matrices, m = u @ m @ u^H."""
-    m = state.rho.matrix
+@functools.lru_cache(maxsize=None)
+def _gate_plan(gates: tuple[Gate, ...]) -> tuple[tuple[bool, np.ndarray], ...]:
+    """The steps ``_run_gates`` takes for a gate sequence on the joint register.
+
+    A step (False, u) is a Hadamard's ``gate_unitary``.  A step (True,
+    index) is a run of consecutive controlled gates: with p the run's
+    composed basis permutation, index[i, j] = 16 p[i] + p[j] is the flat
+    index of m[np.ix_(p, p)].  Built once per gate tuple; every caller
+    shares the returned read-only arrays.
+    """
+    plan = []
     for gate in gates:
         u = gate_unitary(gate, 4)
-        m = u @ m @ u  # every gate unitary is real and symmetric, so u^H = u
+        if not gate.controls:
+            plan.append((False, u))
+            continue
+        # (u @ x)[i] = x[q[i]], so u @ m @ u is m[np.ix_(q, q)], and after a
+        # run that reads m at index it reads m at index[np.ix_(q, q)]
+        q = u.argmax(axis=1)
+        if plan and plan[-1][0]:
+            index = plan.pop()[1][np.ix_(q, q)]
+        else:
+            index = q[:, None] * len(q) + q
+        index.flags.writeable = False
+        plan.append((True, index))
+    return tuple(plan)
+
+
+def _run_gates(state: JointState, gates: tuple[Gate, ...]) -> JointState:
+    """Conjugate the joint state by each gate in turn, as raw matrices, m = u @ m @ u^H.
+
+    Runs the steps of ``_gate_plan(gates)``: a permutation run as one take,
+    a Hadamard as u @ m @ u (u is real and symmetric, so u^H = u).
+    """
+    m = state.rho.matrix
+    for permutes, a in _gate_plan(gates):
+        m = m.take(a) if permutes else a @ m @ a
     return JointState(DensityMatrix(m, validate=False))
 
 

@@ -23,6 +23,7 @@ printed to 13 digits shows a last-bit change in F.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import sys
@@ -135,6 +136,15 @@ class RunConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
+
+
+@contextlib.contextmanager
+def _sized_by(field: str, value: int):
+    """Report a size the block cannot allocate as a config error naming ``field``."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ConfigError(f"field {field!r}: {value} is too large to allocate ({exc})") from exc
 
 
 def _metadata(config: RunConfig, command: str) -> list[str]:
@@ -261,7 +271,8 @@ def cmd_fig3(config: RunConfig) -> str:
         )
     if config.eps_points < 2:
         raise ConfigError(f"field 'eps_points': need >= 2, got {config.eps_points}")
-    grid = np.geomspace(config.eps_min, config.eps_max, config.eps_points)
+    with _sized_by("eps_points", config.eps_points):
+        grid = np.geomspace(config.eps_min, config.eps_max, config.eps_points)
     # the printed pairs (0, 0) and (1, 1) do not depend on epsilon
     feasible = (
         f"{int(check_mu_feasible(0.0, 0.0).feasible)},"
@@ -320,8 +331,9 @@ def _suite_gaussian_identity(config: RunConfig) -> tuple[bool, str]:
         if j == l:
             l = (l + 1) % 8
         label = CoherenceLabel(j, l, 3)
-        phases = sample_phases_direct(cov, config.seed + case, config.mc_samples)
-        est = mc_decay_factor(label, phases)
+        with _sized_by("mc_samples", config.mc_samples):
+            phases = sample_phases_direct(cov, config.seed + case, config.mc_samples)
+            est = mc_decay_factor(label, phases)
         exact = decay_factor(label, cov)
         dev = abs(est.value.real - exact) / max(est.standard_error, 1e-300)
         worst = max(worst, dev)
@@ -347,8 +359,9 @@ def _suite_mc_fidelity(config: RunConfig) -> tuple[bool, str]:
     worst = 0.0
     for offset, (mu1, mu2) in enumerate([(0.0, 0.0), (1.0, 1.0), (0.5, 0.25)]):
         cov = PhaseCovariance.from_damping(g, [1.0, mu1, mu2])
-        phases = sample_phases_direct(cov, config.seed + 100 + offset, config.mc_samples)
-        est = mc_tqc_fidelity(phases)
+        with _sized_by("mc_samples", config.mc_samples):
+            phases = sample_phases_direct(cov, config.seed + 100 + offset, config.mc_samples)
+            est = mc_tqc_fidelity(phases)
         exact = fe_tqc_memory(g, mu1, mu2)
         worst = max(worst, abs(est.value - exact) / max(est.standard_error, 1e-300))
     ok = worst <= 4.0

@@ -26,6 +26,14 @@ a given (seed, n).  The substreams run on up to one thread per CPU the
 process may use; each writes only its own rows, so the ensemble does not
 depend on the thread count.  The draws are i.i.d., so every estimator
 reports the sample mean with the plain standard error std(ddof=1)/sqrt(n).
+
+The estimators run on the same pool and blocks: each block writes its rows
+of one preallocated per-sample array, and the mean and standard error are
+taken over the whole array.  Only elementwise ufuncs (the complex
+exponentials and the cosines, which are most of the cost) run per block.
+The products s.phi and cos(2 phi) @ w1 run once over the whole ensemble,
+because BLAS rounds a row of a product differently depending on how the rows
+are split.  So an estimate is bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -99,24 +107,45 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_substreams(fill, seed: int, n: int) -> None:
-    """Call ``fill(gen, rows)`` for every non-empty substream of an n-row ensemble.
+def _fill_blocks(fill, n: int) -> None:
+    """Call ``fill(i, rows)`` for every non-empty block i of an n-row array.
 
-    ``rows`` is the substream's fixed slice of the ensemble.  The calls run on
-    a pool of one thread per usable CPU, capped at the number of calls, and an
-    error raised in any call reaches the caller.  ``fill`` must write only its
-    own rows and call only numpy (whose RNG fills and ufuncs release the
-    GIL), never a traced memphase function.
+    ``rows`` is block i's fixed slice of the rows (``_chunk_sizes``).  The
+    calls are dealt round-robin into one share per usable CPU, capped at the
+    number of calls; the calling thread runs the first share and a pool
+    thread each other one, so a call starts at most one thread per further
+    CPU.  An error raised in any call reaches the caller.  ``fill`` must
+    write only its own rows and call only numpy (whose RNG fills, ufuncs and
+    BLAS products release the GIL), never a traced memphase function.
     """
     tasks = []
     start = 0
-    for gen, size in zip(_stream_generators(seed), _chunk_sizes(n)):
+    for i, size in enumerate(_chunk_sizes(n)):
         if size > 0:
-            tasks.append((gen, slice(start, start + size)))
+            tasks.append((i, slice(start, start + size)))
         start += size
-    with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(tasks)))) as pool:
-        for future in [pool.submit(fill, gen, rows) for gen, rows in tasks]:
+    shares = max(1, min(_usable_cpus(), len(tasks)))
+
+    def run(share):
+        for i, rows in tasks[share::shares]:
+            fill(i, rows)
+
+    # a pool that is never submitted to starts no thread
+    with ThreadPoolExecutor(max_workers=max(1, shares - 1)) as pool:
+        futures = [pool.submit(run, share) for share in range(1, shares)]
+        run(0)
+        for future in futures:
             future.result()
+
+
+def _fill_substreams(fill, seed: int, n: int) -> None:
+    """Call ``fill(gen, rows)`` for every non-empty substream of an n-row ensemble.
+
+    Substream i draws block i's rows (``_fill_blocks``), so the ensemble
+    depends on (seed, n) alone.
+    """
+    gens = _stream_generators(seed)
+    _fill_blocks(lambda i, rows: fill(gens[i], rows), n)
 
 
 def _sample_count(n) -> int:
@@ -248,7 +277,14 @@ def mc_decay_factor(label: CoherenceLabel, phases: np.ndarray) -> McEstimate:
             f"ensemble shape {phases.shape} does not match label on "
             f"{label.n_qubits} qubits"
         )
-    z = np.exp(2j * (phases @ label.s.astype(float)))
+    # one product over the whole ensemble; only the exponentials are pooled
+    x = phases @ label.s.astype(float)
+    z = np.empty(n, dtype=complex)
+
+    def fill(i, rows):
+        np.exp(2j * x[rows], out=z[rows])
+
+    _fill_blocks(fill, n)
     return McEstimate(complex(z.mean()), _standard_error(z.real), n, _standard_error(z.imag))
 
 
@@ -314,7 +350,13 @@ def mc_tqc_fidelity(phases: np.ndarray) -> McEstimate:
     if phases.ndim != 2 or phases.shape[1] != 3:
         raise DimensionMismatch(f"need (n, 3) phase samples, got {phases.shape}")
     w0, w1, w3 = _tqc_weights()
-    # no temporary larger than (n, 3): 200k samples cost ~5 MB here
-    c = np.cos(2.0 * phases)
+    # the layout and dtype of 2.0 * phases, which decide how c @ w1 rounds;
+    # only the cosines are pooled, the product runs over the whole ensemble
+    c = np.empty_like(phases, dtype=np.result_type(2.0, phases))
+
+    def fill(i, rows):
+        np.cos(2.0 * phases[rows], out=c[rows])
+
+    _fill_blocks(fill, n)
     fid = w0 + c @ w1 + w3 * (c[:, 0] * c[:, 1] * c[:, 2])
     return McEstimate(float(fid.mean()), _standard_error(fid), n)

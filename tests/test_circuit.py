@@ -16,6 +16,8 @@ from memphase.circuit import (
     JointState,
     _code_weights,
     _encoded_source,
+    _gate_plan,
+    _run_gates,
     apply_gate,
     apply_pauli_z,
     cnot,
@@ -282,6 +284,86 @@ class TestGateLoopBitIdentity:
         want = mc_tqc_fidelity(phases)
         assert float_bytes(got.value) == float_bytes(want.value)
         assert float_bytes(got.standard_error) == float_bytes(want.standard_error)
+
+
+def conjugate_per_gate(m: np.ndarray, gates) -> np.ndarray:
+    """Reference for the gate loop: one dense conjugation u @ m @ u^H per gate."""
+    for gate in gates:
+        u = gate_unitary(gate, 4)
+        m = u @ m @ u.conj().T
+    return m
+
+
+def controlled_runs(gates):
+    """The maximal runs of consecutive controlled gates, in order."""
+    runs = itertools.groupby(gates, lambda gate: bool(gate.controls))
+    return [list(run) for controlled, run in runs if controlled]
+
+
+def random_gate_sequences(rng, count):
+    for _ in range(count):
+        picks = rng.integers(0, len(CODE_GATES), size=rng.integers(1, 9))
+        yield tuple(CODE_GATES[i] for i in picks)
+
+
+class TestPermutationRuns:
+    """Controlled-gate runs go by index; Hadamards stay dense products."""
+
+    def test_random_sequences_equal_per_gate_products(self, rng):
+        for gates in random_gate_sequences(rng, 200):
+            state = JointState(random_density_matrix(rng, 4))
+            got = _run_gates(state, gates).rho.matrix
+            want = conjugate_per_gate(state.rho.matrix, gates)
+            assert got.tobytes() == want.tobytes(), gates
+
+    def test_composed_permutations_equal_the_unitary_products(self, rng):
+        for gates in random_gate_sequences(rng, 200):
+            plan = _gate_plan(gates)
+            dense = [a for permutes, a in plan if not permutes]
+            indices = [a for permutes, a in plan if permutes]
+            hadamards = [g for g in gates if not g.controls]
+            assert len(dense) == len(hadamards)
+            assert all(u is gate_unitary(g, 4) for u, g in zip(dense, hadamards))
+            runs = controlled_runs(gates)
+            assert len(indices) == len(runs)
+            for index, run in zip(indices, runs):
+                product = np.eye(16)
+                for gate in run:
+                    product = gate_unitary(gate, 4) @ product
+                # the product conjugates m to m[np.ix_(p, p)], p[i] the column of row i's 1
+                p = product.argmax(axis=1)
+                assert np.array_equal(product, np.eye(16)[p])
+                assert np.array_equal(index, p[:, None] * 16 + p)
+
+    def test_signed_zeros(self, rng):
+        # a take keeps the sign of a zero; a product may turn -0 into +0
+        # real and imaginary parts set directly: arithmetic would fold -0 into +0
+        parts = np.where(rng.integers(0, 2, size=(16, 16, 2)) == 1, -0.0, 0.0)
+        upper, lower = np.triu_indices(16, 1)
+        parts[lower, upper, 0] = parts[upper, lower, 0]
+        parts[lower, upper, 1] = -parts[upper, lower, 1]
+        m = parts.view(complex)[..., 0]
+        m[np.diag_indices(16)] = rng.dirichlet(np.ones(16))
+        state = JointState(DensityMatrix(m))
+        assert np.signbit(state.rho.matrix.real).any() and np.signbit(state.rho.matrix.imag).any()
+        for gates in [*random_gate_sequences(rng, 50), ENCODE_GATES, DECODE_GATES]:
+            got = _run_gates(state, gates).rho.matrix
+            assert np.array_equal(got, conjugate_per_gate(state.rho.matrix, gates)), gates
+        permutation = (cnot(1, 2), toffoli(2, 3, 1), cnot(3, 1))
+        (permutes, index), = _gate_plan(permutation)
+        assert permutes
+        got = _run_gates(state, permutation).rho.matrix
+        assert got.tobytes() == state.rho.matrix.take(index).tobytes()
+
+    def test_decode_is_three_products_and_one_take(self):
+        assert [permutes for permutes, _ in _gate_plan(DECODE_GATES)] == [False] * 3 + [True]
+        assert [permutes for permutes, _ in _gate_plan(ENCODE_GATES)] == [True] + [False] * 3
+
+    def test_plan_is_cached_and_read_only(self):
+        plan = _gate_plan(DECODE_GATES)
+        assert _gate_plan(DECODE_GATES) is plan
+        for _, a in plan:
+            assert not a.flags.writeable
 
 
 class TestValidationRule:

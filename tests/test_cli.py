@@ -662,6 +662,17 @@ class TestMainEntry:
         assert code == 2
         assert "config error: field 'mc_samples'" in capsys.readouterr().err
 
+    # 10^17 rows need exbibytes, past any virtual address space, so the
+    # allocation fails whatever the host's overcommit policy
+    @pytest.mark.parametrize("command,field", [("validate", "mc_samples"), ("fig3", "eps_points")])
+    def test_size_too_large_to_allocate_exit_code(self, tmp_path, capsys, command, field):
+        text = f"{field} = {10**17}\n"
+        code = main([command, "--config", write_config(tmp_path, text)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: field '{field}': {10**17} is too large to allocate ("
+        )
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_coupling_exit_code(self, tmp_path, capsys, value):
         code = main(["decay", "--config", write_config(tmp_path, f"coupling = {value}\n")])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from memphase.errors import (
 )
 import memphase.montecarlo as montecarlo
 from memphase.montecarlo import (
+    McEstimate,
     _chunk_sizes,
     _covariance_factor,
     _fill_substreams,
@@ -86,6 +88,26 @@ def serial_trajectory(spec, params, seed, n, dt):
                 xi = alpha_gap * xi + beta_gap * gen.standard_normal(size)
         row += size
     return out
+
+
+def serial_decay_factor(label, phases):
+    """The whole-array decay estimator the substream pool replaced, kept as a reference."""
+    z = np.exp(2j * (phases @ label.s.astype(float)))
+    n = phases.shape[0]
+    return McEstimate(complex(z.mean()), _standard_error(z.real), n, _standard_error(z.imag))
+
+
+def serial_tqc_fidelity(phases):
+    """The whole-array fidelity estimator the substream pool replaced, kept as a reference."""
+    w0, w1, w3 = _tqc_weights()
+    c = np.cos(2.0 * phases)
+    fid = w0 + c @ w1 + w3 * (c[:, 0] * c[:, 1] * c[:, 2])
+    return McEstimate(float(fid.mean()), _standard_error(fid), phases.shape[0])
+
+
+def mixed_label(n_uses):
+    """A label whose weights s take the values -1, 0 and +1 from three uses on."""
+    return CoherenceLabel.from_bitstrings(("011" * n_uses)[:n_uses], ("110" * n_uses)[:n_uses])
 
 
 @pytest.fixture(params=[1, 4], ids=["1-thread", "4-threads"])
@@ -151,6 +173,88 @@ class TestSubstreamPool:
 
         with pytest.raises(FloatingPointError):
             _fill_substreams(fill, 5, 100)
+
+
+# the identity sizes, and the size validate samples at
+ESTIMATOR_SIZES = IDENTITY_SIZES + [200_000]
+
+
+class TestPooledEstimators:
+    """The estimators' pooled per-sample values change no bit of an estimate.
+
+    ``repr`` round-trips every float, the sign of a zero included, so equal
+    reprs are equal bits.
+    """
+
+    # 8 uses: BLAS rounds rows of a product with 8 columns differently
+    # depending on how they are split, so the product must not be pooled
+    @pytest.mark.parametrize("n_uses", [1, 3, 8])
+    @pytest.mark.parametrize("n", ESTIMATOR_SIZES)
+    def test_decay_factor_matches_serial_reference(self, threads, n, n_uses):
+        cov = covariance_from_spectrum(Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, 1.5, n_uses))
+        phases = sample_phases_direct(cov, 79, n)
+        for label in (CoherenceLabel(0, (1 << n_uses) - 1, n_uses), mixed_label(n_uses)):
+            assert repr(mc_decay_factor(label, phases)) == repr(serial_decay_factor(label, phases))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", ESTIMATOR_SIZES)
+    def test_fidelity_matches_serial_reference(self, threads, n, order):
+        cov = PhaseCovariance.from_damping(0.6, [1.0, 0.5, 0.25])
+        # the memory order decides how the whole-array product rounds a row;
+        # a mean absorbs a last-bit change in one row only at times
+        for seed in range(83, 91):
+            phases = np.asarray(sample_phases_direct(cov, seed, n), order=order)
+            assert repr(mc_tqc_fidelity(phases)) == repr(serial_tqc_fidelity(phases))
+
+    def test_identity_with_more_threads_than_cpus_and_frequent_switches(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        cov = PhaseCovariance.from_damping(0.6, [1.0, 0.5, 0.25])
+        label = mixed_label(3)
+        estimates = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (5003, 200_000):
+                phases = sample_phases_direct(cov, 89, n)
+                estimates.append((phases, mc_decay_factor(label, phases), mc_tqc_fidelity(phases)))
+        finally:
+            sys.setswitchinterval(interval)
+        for phases, decay, fidelity in estimates:
+            assert repr(decay) == repr(serial_decay_factor(label, phases))
+            assert repr(fidelity) == repr(serial_tqc_fidelity(phases))
+
+    def test_pool_threads_call_no_memphase_function(self, monkeypatch):
+        # a traced memphase function keeps its spans on one unlocked stack,
+        # so the blocks the pool runs call numpy alone
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+        calls = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread() is threading.main_thread()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name != "memphase" and not module_name.startswith("memphase."):
+                continue
+            for key, value in list(vars(module).items()):
+                if (
+                    callable(value)
+                    and not isinstance(value, type)
+                    and getattr(value, "__module__", "").startswith("memphase")
+                ):
+                    monkeypatch.setattr(module, key, recording(f"{module_name}.{key}", value))
+        cov = PhaseCovariance.from_damping(0.6, [1.0, 0.5, 0.25])
+        params = ChannelParams(1.0, 1.0, 1.5, 3)
+        phases = montecarlo.sample_phases_direct(cov, 97, 1001)
+        montecarlo.sample_phases_trajectory(Lorentzian(1.0, 1.0), params, 97, 1001, 1.0 / 50)
+        montecarlo.mc_decay_factor(mixed_label(3), phases)
+        montecarlo.mc_tqc_fidelity(phases)
+        assert [name for name, on_main in calls if not on_main] == []
+        names = {name for name, _ in calls}
+        assert {"memphase.montecarlo.mc_decay_factor", "memphase.montecarlo._fill_blocks"} <= names
 
 
 class TestDirectSampling:
