@@ -10,14 +10,15 @@ coherence and g the single-use damping.  Populations (s = 0) are untouched.
 Equivalently D_jl = exp(-2 s^T Sigma s); ``decay_factor`` evaluates the two
 forms side by side as an internal consistency check.
 
-``_decay_factors_and_exponents`` gives the decay factors of many basis
-pairs, and ``decay_factor`` is its one-pair case.  It reads the weights of
-all its pairs once per call, with one ``_basis_bits`` call, as an (L, N)
-matrix.  The two quadratic forms stay one row at a time, s @ T @ s, because
-batched forms round differently: over 60 891 random rows (N = 1..39, numpy
-2.4) the value differed from the per-row one in the last digits on 12 968
-rows for S @ T then a per-row dot, 39 913 for ``einsum`` and 17 296 for
-(S @ T * S).sum(1), and the ``decay`` rows must not change by a byte.
+``_decay_factors_and_exponents`` gives the decay factors and exponents of
+many basis pairs, and ``decay_factor`` and ``decay_exponent`` are its
+one-pair cases.  It reads the weights of all its pairs once per call, with
+one ``_basis_bits`` call, as an (L, N) matrix.  The two quadratic forms
+stay one row at a time, s @ T @ s, because batched forms round
+differently: over 60 891 random rows (N = 1..39, numpy 2.4) the value
+differed from the per-row one in the last digits on 12 968 rows for S @ T
+then a per-row dot, 39 913 for ``einsum`` and 17 296 for (S @ T * S).sum(1),
+and the ``decay`` rows must not change by a byte.
 
 ``apply_channel`` builds the whole decay matrix from one quadratic form.
 With B the (dim, N) 0/1 bits of the transmitted qubits (in use order) and T
@@ -108,7 +109,7 @@ their lower triangles):
 
 Register convention: qubit position 0 is the most significant bit of the
 basis index (leftmost factor of the tensor product), a position is an
-integer (read with ``operator.index``, so 1.5 is refused, not truncated), a
+integer (read by ``errors._integer``, so 1.5 is refused, not truncated), a
 list of positions names distinct qubits of the register, and a register size
 is a non-negative integer, read the same way.  This module owns the
 convention: ``_basis_bits`` is the one bit reader, ``_read_bitstrings``
@@ -121,7 +122,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -129,6 +129,7 @@ import numpy as np
 
 from .correlation import PhaseCovariance
 from .errors import DimensionMismatch, DomainError, NotPositiveSemidefinite, PositionOutOfRange
+from .errors import _integer
 
 __all__ = [
     "CoherenceLabel",
@@ -174,25 +175,13 @@ def _pair_weights(pairs, n_qubits: int) -> np.ndarray:
 
 
 def _position(p) -> int:
-    """The qubit position p as an int; PositionOutOfRange unless p is an integer.
-
-    Python and numpy integers pass; 1.5, 1.0 and "1" do not.
-    """
-    try:
-        return operator.index(p)
-    except TypeError:
-        raise PositionOutOfRange(f"qubit position {p!r} is not an integer") from None
+    """The qubit position p as an int; PositionOutOfRange unless p is an integer."""
+    return _integer(p, PositionOutOfRange, "qubit position {!r} is not an integer")
 
 
 def _register_size(n) -> int:
-    """The register size n as an int; DimensionMismatch unless n is a non-negative integer.
-
-    Python and numpy integers pass; 4.0 and "4" do not.
-    """
-    try:
-        size = operator.index(n)
-    except TypeError:
-        raise DimensionMismatch(f"register size must be an integer, got {n!r}") from None
+    """The register size n as an int; DimensionMismatch unless n is a non-negative integer."""
+    size = _integer(n, DimensionMismatch, "register size must be an integer, got {!r}")
     if size < 0:
         raise DimensionMismatch(f"register size must be non-negative, got {size} qubits")
     return size
@@ -242,12 +231,9 @@ class CoherenceLabel:
 
     def __post_init__(self):
         for name in ("j", "l"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise PositionOutOfRange(
-                    f"basis index {name} must be an integer, got {getattr(self, name)!r}"
-                ) from None
+            message = f"basis index {name} must be an integer, got {{!r}}"
+            index = _integer(getattr(self, name), PositionOutOfRange, message)
+            object.__setattr__(self, name, index)
         object.__setattr__(self, "n_qubits", _register_size(self.n_qubits))
         dim = 1 << self.n_qubits
         if not (0 <= self.j < dim and 0 <= self.l < dim):
@@ -374,13 +360,6 @@ def _check_size(label: CoherenceLabel, cov: PhaseCovariance) -> None:
         )
 
 
-def decay_exponent(label: CoherenceLabel, cov: PhaseCovariance) -> float:
-    """Damping power E = sum s_k^2 + 2 sum_{k>k'} s_k s_k' mu_{k-k'}, >= 0."""
-    _check_size(label, cov)
-    s = label.s.astype(float)
-    return float(s @ cov.mu_matrix @ s)
-
-
 def _decay_factors_and_exponents(
     pairs, cov: PhaseCovariance
 ) -> Iterator[tuple[float, float]]:
@@ -400,6 +379,12 @@ def _decay_factors_and_exponents(
         if not abs(d_power - d_exp) <= 1e-12:
             raise ArithmeticError(f"decay-factor forms disagree: {d_power!r} vs {d_exp!r}")
         yield d_power, exponent
+
+
+def decay_exponent(label: CoherenceLabel, cov: PhaseCovariance) -> float:
+    """Damping power E = sum s_k^2 + 2 sum_{k>k'} s_k s_k' mu_{k-k'}, >= 0."""
+    _check_size(label, cov)
+    return next(_decay_factors_and_exponents([(label.j, label.l)], cov))[1]
 
 
 def decay_factor(label: CoherenceLabel, cov: PhaseCovariance) -> float:

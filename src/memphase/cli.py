@@ -143,7 +143,10 @@ def _sized_by(field: str, value: int):
     """Report a size the block cannot allocate as a config error naming ``field``."""
     try:
         yield
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses a size past its index range with a plain ValueError
+        if isinstance(exc, ValueError) and type(exc) is not ValueError:
+            raise
         raise ConfigError(f"field {field!r}: {value} is too large to allocate ({exc})") from exc
 
 
@@ -188,7 +191,8 @@ def cmd_decay(config: RunConfig) -> str:
     spec = config.make_spectrum()
     params = config.make_channel_params()
     try:
-        cov = covariance_from_spectrum(spec, params)
+        with _sized_by("n_uses", params.n_uses):
+            cov = covariance_from_spectrum(spec, params)
         eps = epsilon_from_g(cov.g)
     except DomainError as exc:
         raise ConfigError(f"phase covariance: {exc}") from exc
@@ -228,7 +232,9 @@ def cmd_fig2(config: RunConfig) -> str:
     steps = 1.0 / config.mu1_step
     whole = abs(steps - round(steps)) <= 1e-9 * steps
     n_points = (round(steps) if whole else math.floor(steps)) + 1
-    mu1_grid = [i * config.mu1_step for i in range(n_points)]
+    # i * step for each i, the same IEEE product as in Python below 2^53 points
+    with _sized_by("mu1_step", config.mu1_step):
+        mu1_grid = (np.arange(n_points) * config.mu1_step).tolist()
     if not whole:
         # a last point that prints as 1.000000 would duplicate the mu1 = 1 row
         if 1.0 - mu1_grid[-1] < 5e-7:
@@ -306,8 +312,9 @@ def _suite_route_equivalence(config: RunConfig) -> tuple[bool, str]:
         subject = f" of {spec!r} in place of white"
     params = replace(config, n_uses=max(3, config.n_uses)).make_channel_params()
     try:
-        c_spec = covariance_from_spectrum(spec, params)
-        c_time = covariance_from_autocorrelation(spec, params)
+        with _sized_by("n_uses", params.n_uses):
+            c_spec = covariance_from_spectrum(spec, params)
+            c_time = covariance_from_autocorrelation(spec, params)
     except DomainError as exc:
         raise ConfigError(f"phase covariance: {exc}") from exc
     dev_eta = abs(c_spec.eta_sq - c_time.eta_sq) / c_spec.eta_sq

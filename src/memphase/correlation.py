@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NotPositiveSemidefinite
+from .errors import DomainError, NotPositiveSemidefinite, _integer
 from .spectrum import PowerSpectrum, kernel_integrals
 
 __all__ = [
@@ -72,7 +71,7 @@ class ChannelParams:
     tau      : spacing between consecutive carriers, finite and >= tau_p so
                windows never overlap
     n_uses   : number of carriers sent, an integer >= 1 (read with
-               ``operator.index``, so 2.5, 3.0 and "3" are refused)
+               ``errors._integer``, so 2.5, 3.0 and "3" are refused)
     """
 
     coupling: float
@@ -84,10 +83,8 @@ class ChannelParams:
         for name in ("coupling", "tau_p", "tau"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        try:
-            object.__setattr__(self, "n_uses", operator.index(self.n_uses))
-        except TypeError:
-            raise DomainError(f"n_uses must be an integer, got {self.n_uses!r}") from None
+        n_uses = _integer(self.n_uses, DomainError, "n_uses must be an integer, got {!r}")
+        object.__setattr__(self, "n_uses", n_uses)
         if not self.tau_p > 0.0:
             raise DomainError(f"tau_p must be positive, got {self.tau_p}")
         if not self.tau >= self.tau_p:

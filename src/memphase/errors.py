@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and ``_integer``,
+the one reader of its integer arguments."""
+
+import operator
 
 
 class DomainError(ValueError):
@@ -56,3 +59,12 @@ class FeasibilityWarning(UserWarning):
     The closed-form fidelities remain well-defined, so sweeps warn and
     keep going instead of failing.
     """
+
+
+def _integer(value, error: type[Exception], message: str) -> int:
+    """``value`` as an int, read with ``operator.index`` so that Python and numpy
+    integers pass and 1.5, 4.0 and "3" raise ``error(message.format(value))``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(message.format(value)) from None

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -50,7 +49,7 @@ import numpy as np
 from .channel import CoherenceLabel
 from .circuit import _code_weights
 from .correlation import PhaseCovariance
-from .errors import DimensionMismatch, DomainError, EmptyEnsemble, StepTooCoarse
+from .errors import DimensionMismatch, DomainError, EmptyEnsemble, StepTooCoarse, _integer
 from .spectrum import Lorentzian
 
 __all__ = [
@@ -150,10 +149,7 @@ def _fill_substreams(fill, seed: int, n: int) -> None:
 
 def _sample_count(n) -> int:
     """The ensemble size n as an int; DomainError unless it is an integer >= 0."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"sample count n must be an integer, got {n!r}") from None
+    n = _integer(n, DomainError, "sample count n must be an integer, got {!r}")
     if n < 0:
         raise DomainError(f"sample count n must be non-negative, got {n}")
     return n

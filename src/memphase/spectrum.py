@@ -39,8 +39,12 @@ delegate to them, and ``kernel_integral`` is the one-lag case of
 gives C on a whole array of arguments (``autocorrelations``) and the
 length over which C completes a few oscillations (``oscillation_scale``),
 which bounds the quadrature panels: 8*pi/omega_max for 1/f, unbounded for
-the Lorentzian, whose C never oscillates.  Only the 1/f formulas need
-scipy (the cosine integral Ci), which loads on their first use.  A 1/f covariance takes every
+the Lorentzian, whose C never oscillates.  The 1/f ``autocorrelation`` is
+the one-argument case of ``autocorrelations``; the Lorentzian keeps both,
+because ``math.exp`` and numpy's exp differ in the last bit on ~4 % of
+arguments, and its scalar values and the ``validate`` bytes stay as they
+are.  Only the 1/f formulas need scipy (the cosine integral Ci), which
+loads on their first use.  A 1/f covariance takes every
 Ci(a*w) of all its lags from one array ``sici`` call, which gives the same
 bits as one scalar call per value; the sines and the three-piece sum stay
 scalar Python arithmetic, lag by lag.
@@ -144,6 +148,8 @@ class Lorentzian(_LagByLag):
     def density(self, omega: float) -> float:
         return 2.0 * self.variance * self.rate / (self.rate**2 + omega**2)
 
+    # math.exp here, numpy's exp in autocorrelations: they differ in the last
+    # bit on ~4 % of arguments, so neither form can be the other's case
     def autocorrelation(self, tau: float) -> float:
         return self.variance * math.exp(-self.rate * abs(tau))
 
@@ -200,23 +206,16 @@ class OneOverF:
         return 0.0
 
     def autocorrelation(self, tau: float) -> float:
-        # int cos(w t)/w dw = Ci(w_max t) - Ci(w_min t)
-        t = abs(tau)
-        if t == 0.0:
-            return self.amplitude / math.pi * math.log(self.omega_max / self.omega_min)
-        sici = _sici()
-        ci_hi = float(sici(self.omega_max * t)[1])
-        ci_lo = float(sici(self.omega_min * t)[1])
-        return self.amplitude / math.pi * (ci_hi - ci_lo)
+        return float(self.autocorrelations(tau))
 
     def autocorrelations(self, taus: np.ndarray) -> np.ndarray:
         """C(tau) at every tau of an array, with Ci at both cutoffs from one ``sici`` call."""
+        # int cos(w t)/w dw = Ci(w_max t) - Ci(w_min t), with Ci(inf) = 0 past
+        # the float range; Ci(0) = -inf at both cutoffs, whose difference tends to the log
         t = np.abs(taus)
-        ci = _sici()(np.stack((self.omega_max * t, self.omega_min * t)))[1]
-        # Ci(0) = -inf at both cutoffs, whose difference tends to the log below
-        with np.errstate(invalid="ignore"):
-            c = ci[0] - ci[1]
-        c[t == 0.0] = math.log(self.omega_max / self.omega_min)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ci = _sici()(np.stack((self.omega_max * t, self.omega_min * t)))[1]
+            c = np.where(t == 0.0, math.log(self.omega_max / self.omega_min), ci[0] - ci[1])
         return self.amplitude / math.pi * c
 
     def oscillation_scale(self) -> float:

@@ -20,19 +20,22 @@ from memphase.channel import (
     _basis_bits,
     _decay_matrix,
     _hermiticity_defect,
+    _position,
+    _register_size,
     _rounding_bound,
     apply_channel,
     decay_exponent,
     decay_factor,
 )
 import memphase
-from memphase.correlation import PhaseCovariance
+from memphase.correlation import ChannelParams, PhaseCovariance
 from memphase.errors import (
     DimensionMismatch,
     DomainError,
     NotPositiveSemidefinite,
     PositionOutOfRange,
 )
+from memphase.montecarlo import _sample_count
 
 # fixed example sequence, so the suite gives the same verdict on every run
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -144,6 +147,50 @@ class TestCoherenceLabel:
             CoherenceLabel.from_bitstrings(bits, "111")
         with pytest.raises(DomainError, match="made of 0 and 1"):
             CoherenceLabel.from_bitstrings("111", bits)
+
+
+# each integer argument of the package, read by the one reader with its own
+# exception type and message
+INTEGER_READERS = {
+    "position": (_position, PositionOutOfRange, "qubit position {} is not an integer"),
+    "register-size": (
+        _register_size, DimensionMismatch, "register size must be an integer, got {}"
+    ),
+    "index-j": (
+        lambda v: CoherenceLabel(v, 0, 3).j,
+        PositionOutOfRange,
+        "basis index j must be an integer, got {}",
+    ),
+    "index-l": (
+        lambda v: CoherenceLabel(0, v, 3).l,
+        PositionOutOfRange,
+        "basis index l must be an integer, got {}",
+    ),
+    "n_uses": (
+        lambda v: ChannelParams(1.0, 1.0, 1.0, v).n_uses,
+        DomainError,
+        "n_uses must be an integer, got {}",
+    ),
+    "sample-count": (_sample_count, DomainError, "sample count n must be an integer, got {}"),
+}
+
+
+class TestIntegerReaders:
+    @pytest.mark.parametrize("value,shown", [(1.5, "1.5"), (4.0, "4.0"), ("3", "'3'")])
+    @pytest.mark.parametrize("reader", list(INTEGER_READERS))
+    def test_non_integer_message(self, reader, value, shown):
+        read, error, message = INTEGER_READERS[reader]
+        with pytest.raises(error) as info:
+            read(value)
+        assert type(info.value) is error
+        assert str(info.value) == message.format(shown)
+        assert info.value.__suppress_context__
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.uint8(3), np.intp(3)])
+    @pytest.mark.parametrize("reader", list(INTEGER_READERS))
+    def test_numpy_integer_read_as_int(self, reader, value):
+        got = INTEGER_READERS[reader][0](value)
+        assert type(got) is int and got == 3
 
 
 class TestBasisBits:

@@ -1,12 +1,16 @@
 """Command-line runner: config handling, CSV determinism, subcommand output."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import memphase
 from memphase.channel import (
     CoherenceLabel,
     _decay_factors_and_exponents,
@@ -33,6 +37,11 @@ from memphase.correlation import (
 )
 from memphase.errors import ConfigError, DomainError
 from memphase.spectrum import Lorentzian, OneOverF
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 
 # valid spectra whose kernel closed forms leave the float range
@@ -493,7 +502,7 @@ class TestDecayBytes:
         assert eta_line in text.splitlines()
         assert_same_rows(data_rows(text), rows)
 
-    @pytest.mark.parametrize("n_uses", [3, 33, 64, 70])
+    @pytest.mark.parametrize("n_uses", [1, 3, 33, 64, 70])
     @pytest.mark.parametrize("spectrum", ["lorentzian", "one_over_f-1000"])
     def test_rows_equal_the_one_label_functions(self, spectrum, n_uses):
         # the one weight read of all labels gives, row by row, the values of
@@ -503,7 +512,7 @@ class TestDecayBytes:
         pairs = _parse_labels(config)
         rows = data_rows(cmd_decay(config))
         rows = rows[rows.index("j,l,exponent,decay") + 1 :]
-        assert len(rows) == len(pairs) == (36 if n_uses == 3 else 6)
+        assert len(rows) == len(pairs) == {1: 3, 3: 36}.get(n_uses, 6)
         for row, (j, l), (d, exponent) in zip(rows, pairs, _decay_factors_and_exponents(pairs, cov)):
             label = CoherenceLabel(j, l, n_uses)
             assert (d, exponent) == (decay_factor(label, cov), decay_exponent(label, cov))
@@ -663,15 +672,49 @@ class TestMainEntry:
         assert "config error: field 'mc_samples'" in capsys.readouterr().err
 
     # 10^17 rows need exbibytes, past any virtual address space, so the
-    # allocation fails whatever the host's overcommit policy
-    @pytest.mark.parametrize("command,field", [("validate", "mc_samples"), ("fig3", "eps_points")])
-    def test_size_too_large_to_allocate_exit_code(self, tmp_path, capsys, command, field):
-        text = f"{field} = {10**17}\n"
-        code = main([command, "--config", write_config(tmp_path, text)])
+    # allocation fails whatever the host's overcommit policy; numpy refuses
+    # the larger sizes itself, with a ValueError in place of a MemoryError
+    @pytest.mark.parametrize(
+        "command,field,value",
+        [
+            pytest.param("validate", "mc_samples", 10**17, id="validate-mc_samples"),
+            pytest.param("validate", "mc_samples", 10**18, id="validate-mc_samples-unindexable"),
+            pytest.param("fig3", "eps_points", 10**17, id="fig3-eps_points"),
+            pytest.param("fig3", "eps_points", 10**19, id="fig3-eps_points-unindexable"),
+            pytest.param("fig2", "mu1_step", 1e-17, id="fig2-mu1_step"),
+        ],
+    )
+    def test_size_too_large_to_allocate_exit_code(self, tmp_path, capsys, command, field, value):
+        code = main([command, "--config", write_config(tmp_path, f"{field} = {value}\n")])
         assert code == 2
         assert capsys.readouterr().err.startswith(
-            f"config error: field '{field}': {10**17} is too large to allocate ("
+            f"config error: field '{field}': {value} is too large to allocate ("
         )
+
+    # the Toeplitz index of 10^5 uses takes 74.5 GiB; a child process that
+    # limits its own address space to 3 GiB sees the allocation fail without
+    # the test process asking for it
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    @pytest.mark.parametrize("command", ["decay", "validate"])
+    def test_uses_too_many_to_allocate_exit_code(self, tmp_path, command):
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from memphase.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        config = write_config(tmp_path, "n_uses = 100000\n")
+        package_root = os.path.dirname(os.path.dirname(memphase.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script, command, "--config", config],
+            env=dict(os.environ, PYTHONPATH=package_root),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith(
+            "config error: field 'n_uses': 100000 is too large to allocate ("
+        )
+        assert done.stdout == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_coupling_exit_code(self, tmp_path, capsys, value):

@@ -107,10 +107,16 @@ class TestAutocorrelation:
         ids=["one_over_f-narrow", "one_over_f-wide", "lorentzian"],
     )
     def test_array_form_matches_scalar_form(self, spec, rtol):
-        # zero included, where Ci(0) = -inf at both 1/f cutoffs
-        taus = np.array([[0.0, 1e-12, -0.3], [1.0, 7.5, 1e6]])
+        # zero and -0 included, where Ci(0) = -inf at both 1/f cutoffs, and
+        # 1e308, where omega_max * tau leaves the float range
+        taus = np.array([[0.0, -0.0, 1e-300, 1e-12, 1e308], [-0.3, 1.0, 7.5, 1e6, -1e308]])
         want = [[autocorrelation(spec, t) for t in row] for row in taus.tolist()]
         np.testing.assert_allclose(spec.autocorrelations(taus), want, rtol=rtol, atol=0.0)
+        # and a 0-d array, one argument at a time
+        for tau, value in zip(taus.ravel().tolist(), np.ravel(want)):
+            got = spec.autocorrelations(np.asarray(tau))
+            assert np.shape(got) == ()
+            np.testing.assert_allclose(got, value, rtol=rtol, atol=0.0)
 
     def test_white_has_no_array_form_or_oscillation_scale(self):
         with pytest.raises(WhiteNoiseUndefined):
