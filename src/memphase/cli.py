@@ -13,11 +13,13 @@ Configuration is a plain ``key = value`` text file ('#' starts a comment);
 metadata lines (version, config hash, seed) and are byte-identical for a
 fixed config and seed.
 
-The ``fig2`` / ``fig3`` columns are Python scalar arithmetic (``**`` and
-``math``, which call the C library's libm), one row at a time, not numpy
-ufuncs over the grid: numpy's SIMD ``power``, ``log`` and ``expm1`` differ
-from libm in the last bit on some inputs, and an error probability 1 - F
-printed to 13 digits shows a last-bit change in F.
+The ``fig2`` / ``fig3`` sweeps take their feasibility verdicts once per
+sweep, at the grid's ends, and print them in every row.  Each row is still
+Python scalar arithmetic (``**`` and ``math``, which call the C library's
+libm), one row at a time, not numpy ufuncs over the grid: numpy's SIMD
+``power``, ``log`` and ``expm1`` differ from libm in the last bit on some
+inputs, and an error probability 1 - F printed to 13 digits shows a
+last-bit change in F.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .codes import _fe_tqc, fe_tqc_memory, fe_tqc_via_circuit, pe_two_qubit
 from .correlation import (
     ChannelParams,
     PhaseCovariance,
+    _mu2_lower,
     check_mu_feasible,
     covariance_from_autocorrelation,
     covariance_from_spectrum,
@@ -230,42 +233,44 @@ def cmd_fig2(config: RunConfig) -> str:
     g = g_from_epsilon(eps)
     # 0, step, 2 step, ... always ending at mu1 = 1
     steps = 1.0 / config.mu1_step
+    if not math.isfinite(steps):
+        # a subnormal step: round() cannot count its points
+        raise ConfigError(
+            f"field 'mu1_step': {config.mu1_step} is too large to allocate "
+            f"(1/mu1_step is {steps} points)"
+        )
     whole = abs(steps - round(steps)) <= 1e-9 * steps
     n_points = (round(steps) if whole else math.floor(steps)) + 1
-    # i * step for each i, the same IEEE product as in Python below 2^53 points
-    with _sized_by("mu1_step", config.mu1_step):
-        mu1_grid = (np.arange(n_points) * config.mu1_step).tolist()
-    if not whole:
-        # a last point that prints as 1.000000 would duplicate the mu1 = 1 row
-        if 1.0 - mu1_grid[-1] < 5e-7:
-            mu1_grid.pop()
-        mu1_grid.append(1.0)
-    # Pe_single and Pe_tqc_memoryless do not depend on mu1
-    constant = f"{eps:.12e},{1.0 - _fe_tqc(g, 0.0, 0.0):.12e}"
-
-    def row(mu1: float) -> str:
-        mu1 = min(mu1, 1.0)
-        # mu2 at either edge of the band is feasible exactly when mu1 is in
-        # [0, 1], so one verdict fills both feasibility columns
-        verdict = check_mu_feasible(mu1, mu1)
-        mu2_lower = verdict.mu2_lower
-        pe_lower = 1.0 - _fe_tqc(g, mu1, mu2_lower)
-        pe_upper = 1.0 - _fe_tqc(g, mu1, mu1)
-        pe_2q = pe_two_qubit(g, mu1)
-        feasible = int(verdict.feasible)
-        return (
-            f"{mu1:.6f},{mu2_lower:.12e},{pe_lower:.12e},{pe_upper:.12e},"
-            f"{pe_2q:.12e},{constant},{feasible},{feasible}"
-        )
-
+    # min(mu1, 1.0) below puts every grid mu1 in [0, 1], where both printed
+    # pairs (mu1, mu2_lower) and (mu1, mu1) lie in the band, so the verdict at
+    # the grid's ends (0, 0) and (1, 1) is every row's verdict in both
+    # feasibility columns; Pe_single and Pe_tqc_memoryless do not depend on mu1
+    feasible = int(check_mu_feasible(0.0, 0.0).feasible and check_mu_feasible(1.0, 1.0).feasible)
+    tail = f"{eps:.12e},{1.0 - _fe_tqc(g, 0.0, 0.0):.12e},{feasible},{feasible}"
     lines = _metadata(config, "fig2")
     lines.append(f"# epsilon={eps:.6e} g={g:.12e}")
     lines.append(
         "mu1,mu2_lower,Pe_tqc_at_mu2_lower,Pe_tqc_at_mu2_eq_mu1,"
         "Pe_two_qubit,Pe_single,Pe_tqc_memoryless,feasible_lower,feasible_upper"
     )
-    lines.extend(row(mu1) for mu1 in mu1_grid)
-    return "\n".join(lines) + "\n"
+    with _sized_by("mu1_step", config.mu1_step):
+        # i * step for each i, the same IEEE product as in Python below 2^53 points
+        mu1_grid = (np.arange(n_points) * config.mu1_step).tolist()
+        if not whole:
+            # a last point that prints as 1.000000 would duplicate the mu1 = 1 row
+            if 1.0 - mu1_grid[-1] < 5e-7:
+                mu1_grid.pop()
+            mu1_grid.append(1.0)
+        for mu1 in mu1_grid:
+            mu1 = min(mu1, 1.0)
+            mu2_lower = _mu2_lower(mu1)
+            lines.append(
+                f"{mu1:.6f},{mu2_lower:.12e},{1.0 - _fe_tqc(g, mu1, mu2_lower):.12e},"
+                f"{1.0 - _fe_tqc(g, mu1, mu1):.12e},{pe_two_qubit(g, mu1):.12e},{tail}"
+            )
+        # the empty last line ends the text with a newline, in one join
+        lines.append("")
+        return "\n".join(lines)
 
 
 def cmd_fig3(config: RunConfig) -> str:

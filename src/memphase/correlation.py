@@ -332,15 +332,21 @@ class MuFeasibility:
         return self.feasible
 
 
+def _mu2_lower(mu1: float) -> float:
+    """The band's lower edge max(0, 2*mu1^2 - 1) for mu2."""
+    return max(0.0, 2.0 * mu1 * mu1 - 1.0)
+
+
 def check_mu_feasible(mu1: float, mu2: float) -> MuFeasibility:
     """Feasibility of nearest- and next-nearest-use correlations.
 
-    Requires 0 <= mu1 <= 1 and max(0, 2*mu1^2 - 1) <= mu2 <= mu1: the lower
-    bound is forced by positivity of the three-use covariance, the upper by
-    correlations not growing with use distance, and anti-correlated
-    (negative) values are outside the supported regime.
+    Requires 0 <= mu1 <= 1 and max(0, 2*mu1^2 - 1) <= mu2 <= mu1 (the lower
+    edge is ``_mu2_lower``): the lower bound is forced by positivity of the
+    three-use covariance, the upper by correlations not growing with use
+    distance, and anti-correlated (negative) values are outside the
+    supported regime.
     """
-    lower = max(0.0, 2.0 * mu1 * mu1 - 1.0)
+    lower = _mu2_lower(mu1)
     upper = mu1
     if not 0.0 <= mu1 <= 1.0:
         return MuFeasibility(False, lower, upper, "mu1_range")

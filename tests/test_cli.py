@@ -321,8 +321,12 @@ def reference_fig2_rows(config):
     steps = 1.0 / config.mu1_step
     whole = abs(steps - round(steps)) <= 1e-9 * steps
     n_points = (round(steps) if whole else math.floor(steps)) + 1
-    # no last point near 1 to drop: the steps tested here divide 1
-    mu1_grid = [i * config.mu1_step for i in range(n_points)] + ([] if whole else [1.0])
+    mu1_grid = [i * config.mu1_step for i in range(n_points)]
+    if not whole:
+        # a last point within 5e-7 of 1 prints as 1.000000, a second mu1 = 1 row
+        if 1.0 - mu1_grid[-1] < 5e-7:
+            mu1_grid.pop()
+        mu1_grid.append(1.0)
     rows = []
     for mu1 in mu1_grid:
         mu1 = min(mu1, 1.0)
@@ -440,8 +444,16 @@ class TestSweepBytes:
             RunConfig(epsilon=1e-4),
             RunConfig(epsilon=3.7e-3),
             RunConfig(epsilon=0.1),
+            RunConfig(mu1_step=0.3),
+            RunConfig(mu1_step=0.33333333),
+            RunConfig(mu1_step=0.007),
+            RunConfig(epsilon=1e-7),
+            RunConfig(epsilon=0.49),
         ],
-        ids=["default", "step-1e-4", "eps-1e-4", "eps-3.7e-3", "eps-0.1"],
+        ids=[
+            "default", "step-1e-4", "eps-1e-4", "eps-3.7e-3", "eps-0.1",
+            "step-0.3", "step-0.33333333", "step-0.007", "eps-1e-7", "eps-0.49",
+        ],
     )
     def test_fig2_rows(self, config):
         with warnings.catch_warnings():
@@ -450,8 +462,8 @@ class TestSweepBytes:
 
     @pytest.mark.parametrize(
         "config",
-        [RunConfig(), RunConfig(eps_points=10_000)],
-        ids=["default", "points-10000"],
+        [RunConfig(), RunConfig(eps_points=10_000), RunConfig(eps_min=1e-7, eps_max=0.49, eps_points=2)],
+        ids=["default", "points-10000", "range-1e-7-0.49-points-2"],
     )
     def test_fig3_rows(self, config):
         with warnings.catch_warnings():
@@ -682,6 +694,9 @@ class TestMainEntry:
             pytest.param("fig3", "eps_points", 10**17, id="fig3-eps_points"),
             pytest.param("fig3", "eps_points", 10**19, id="fig3-eps_points-unindexable"),
             pytest.param("fig2", "mu1_step", 1e-17, id="fig2-mu1_step"),
+            # 1/mu1_step is inf: a subnormal step has no finite point count
+            pytest.param("fig2", "mu1_step", 1e-310, id="fig2-mu1_step-subnormal"),
+            pytest.param("fig2", "mu1_step", 5e-324, id="fig2-mu1_step-least-subnormal"),
         ],
     )
     def test_size_too_large_to_allocate_exit_code(self, tmp_path, capsys, command, field, value):
@@ -714,6 +729,34 @@ class TestMainEntry:
         assert done.stderr.startswith(
             "config error: field 'n_uses': 100000 is too large to allocate ("
         )
+        assert done.stdout == ""
+
+    # 10^6 fig2 rows take ~200 MB of strings, their grid ~40 MB; a child that
+    # limits its address space to 64 MB above its own size after the import
+    # fits the grid but not the rows, on any machine
+    @pytest.mark.skipif(
+        resource is None or not os.path.exists("/proc/self/status"),
+        reason="needs the resource module and /proc/self/status",
+    )
+    def test_fig2_rows_too_many_to_allocate_exit_code(self, tmp_path):
+        script = (
+            "import resource, sys\n"
+            "from memphase.cli import main\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    size = next(int(line.split()[1]) for line in fh if line.startswith('VmSize:'))\n"
+            "limit = (size + (64 << 10)) << 10\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        config = write_config(tmp_path, "mu1_step = 1e-6\n")
+        package_root = os.path.dirname(os.path.dirname(memphase.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "fig2", "--config", config],
+            env=dict(os.environ, PYTHONPATH=package_root),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error: field 'mu1_step': 1e-06 is too large to allocate (")
         assert done.stdout == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -14,6 +14,7 @@ from memphase.correlation import (
     PANEL_BUDGET,
     ChannelParams,
     PhaseCovariance,
+    _mu2_lower,
     check_mu_feasible,
     covariance_from_autocorrelation,
     covariance_from_spectrum,
@@ -376,6 +377,25 @@ class TestFeasibility:
     def test_verdict_is_truthy(self):
         assert bool(check_mu_feasible(0.3, 0.1))
         assert not bool(check_mu_feasible(0.3, 0.5))
+
+    def test_band_edge_helper_and_fig2_pairs_over_unit_interval(self):
+        # fig2 takes one verdict per sweep: at every mu1 in [0, 1] the pairs
+        # (mu1, lower edge) and (mu1, mu1) it prints must lie in the band
+        root_half = math.sqrt(0.5)
+        near_root_half = [root_half]
+        for toward in (0.0, 1.0):
+            x = root_half
+            for _ in range(8):
+                x = math.nextafter(x, toward)
+                near_root_half.append(x)
+        below_one = [1.0 - k * 2.0**-53 for k in range(1, 20_001)]
+        uniform = np.random.default_rng(2).uniform(0.0, 1.0, 20_000).tolist()
+        points = [0.0, -0.0, 5e-324, 1.0] + near_root_half + below_one + uniform
+        for mu1 in points:
+            lower = _mu2_lower(mu1)
+            assert lower.hex() == check_mu_feasible(mu1, mu1).mu2_lower.hex()
+            assert check_mu_feasible(mu1, lower).feasible
+            assert check_mu_feasible(mu1, mu1).feasible
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
