@@ -7,14 +7,15 @@ The channel is diagonal in the computational basis: each matrix element
 
 where s_k = l_k - j_k in {-1, 0, +1} is the transmitted-qubit weight of the
 coherence and g the single-use damping.  Populations (s = 0) are untouched.
-Equivalently D_jl = exp(-2 s^T Sigma s); ``decay_factor`` evaluates the two
-forms side by side as an internal consistency check.
+With E = s^T T s the exponent and g = exp(-2 eta^2), equivalently D_jl =
+exp(-2 eta^2 E); ``decay_factor`` evaluates the two forms g**E and
+exp(-2 eta^2 E) side by side as an internal consistency check.
 
 ``_decay_factors_and_exponents`` gives the decay factors and exponents of
 many basis pairs, and ``decay_factor`` and ``decay_exponent`` are its
 one-pair cases.  It reads the weights of all its pairs once per call, with
-one ``_basis_bits`` call, as an (L, N) matrix.  The two quadratic forms
-stay one row at a time, s @ T @ s, because batched forms round
+one ``_basis_bits`` call, as an (L, N) matrix.  The quadratic form stays
+one row at a time, s @ T @ s, because batched forms round
 differently: over 60 891 random rows (N = 1..39, numpy 2.4) the value
 differed from the per-row one in the last digits on 12 968 rows for S @ T
 then a per-row dot, 39 913 for ``einsum`` and 17 296 for (S @ T * S).sum(1),
@@ -366,16 +367,17 @@ def _decay_factors_and_exponents(
     """(D_jl, E) of each basis pair (j, l) of a ``cov.n_uses``-qubit register, in order.
 
     The weights of all pairs come from one bit read, an (L, N) matrix; each
-    row's two quadratic forms and the cross-check of ``decay_factor`` run
-    as the rows are drawn, so an ArithmeticError is raised at the pair
-    whose forms disagree.
+    row's quadratic form and the cross-check of ``decay_factor`` run as the
+    rows are drawn, so an ArithmeticError is raised at the pair whose forms
+    disagree.
     """
     weights = _pair_weights(pairs, cov.n_uses).astype(float)
-    mu_matrix, sigma, g = cov.mu_matrix, cov.sigma, cov.g
+    mu_matrix, eta_sq, g = cov.mu_matrix, cov.eta_sq, cov.g
     for s in weights:
         exponent = float(s @ mu_matrix @ s)
         d_power = g**exponent
-        d_exp = np.exp(-2.0 * float(s @ sigma @ s))
+        # eta^2 E first: E = 0 gives exactly 1 even where -2 eta^2 overflows
+        d_exp = math.exp(-2.0 * (eta_sq * exponent))
         if not abs(d_power - d_exp) <= 1e-12:
             raise ArithmeticError(f"decay-factor forms disagree: {d_power!r} vs {d_exp!r}")
         yield d_power, exponent
@@ -391,8 +393,7 @@ def decay_factor(label: CoherenceLabel, cov: PhaseCovariance) -> float:
     """Coherence decay factor D_jl in (0, 1] for one transmission round.
 
     Evaluates the damping-power form g**E with E = ``decay_exponent`` and
-    cross-checks it against the covariance-exponential form
-    exp(-2 s^T Sigma s).
+    cross-checks it against the exponential form exp(-2 eta^2 E).
     """
     _check_size(label, cov)
     return next(_decay_factors_and_exponents([(label.j, label.l)], cov))[0]

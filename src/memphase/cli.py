@@ -150,7 +150,9 @@ def _sized_by(field: str, value: int):
         # numpy refuses a size past its index range with a plain ValueError
         if isinstance(exc, ValueError) and type(exc) is not ValueError:
             raise
-        raise ConfigError(f"field {field!r}: {value} is too large to allocate ({exc})") from exc
+        # a MemoryError raised for a Python object carries no message
+        reason = str(exc) or type(exc).__name__
+        raise ConfigError(f"field {field!r}: {value} is too large to allocate ({reason})") from exc
 
 
 def _metadata(config: RunConfig, command: str) -> list[str]:
@@ -282,8 +284,6 @@ def cmd_fig3(config: RunConfig) -> str:
         )
     if config.eps_points < 2:
         raise ConfigError(f"field 'eps_points': need >= 2, got {config.eps_points}")
-    with _sized_by("eps_points", config.eps_points):
-        grid = np.geomspace(config.eps_min, config.eps_max, config.eps_points)
     # the printed pairs (0, 0) and (1, 1) do not depend on epsilon
     feasible = (
         f"{int(check_mu_feasible(0.0, 0.0).feasible)},"
@@ -304,8 +304,12 @@ def cmd_fig3(config: RunConfig) -> str:
         "epsilon,Pe_tqc_memoryless,Pe_tqc_worst,Pe_two_qubit_mu099,"
         "feasible_memoryless,feasible_worst"
     )
-    lines.extend(row(eps) for eps in grid.tolist())
-    return "\n".join(lines) + "\n"
+    with _sized_by("eps_points", config.eps_points):
+        grid = np.geomspace(config.eps_min, config.eps_max, config.eps_points)
+        lines.extend(row(eps) for eps in grid.tolist())
+        # the empty last line ends the text with a newline, in one join
+        lines.append("")
+        return "\n".join(lines)
 
 
 def _suite_route_equivalence(config: RunConfig) -> tuple[bool, str]:

@@ -100,16 +100,15 @@ class PhaseCovariance:
     """Gaussian phase statistics for N channel uses.
 
     Stores the variance eta^2, the correlation coefficients by lag
-    (mu[0] = 1), their Toeplitz matrix T_kk' = mu_|k-k'| and the dense
-    covariance matrix sigma = eta^2 T, both built once and read-only, and
-    the smallest eigenvalue of T as ``eigvalsh`` computes it when the
-    covariance is checked.
+    (mu[0] = 1), their Toeplitz matrix T_kk' = mu_|k-k'|, built once and
+    read-only, and the smallest eigenvalue of T as ``eigvalsh`` computes it
+    when the covariance is checked.  The dense covariance matrix sigma =
+    eta^2 T is built only when it is first read, and kept read-only.
     """
 
     eta_sq: float
     mu: np.ndarray = field(repr=False)
     mu_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    sigma: np.ndarray = field(init=False, repr=False, compare=False)
     min_eigenvalue: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -118,24 +117,27 @@ class PhaseCovariance:
         mu = np.asarray(self.mu, dtype=float).copy()
         if mu.ndim != 1 or mu.size < 1:
             raise DomainError("mu must be a 1-D vector with at least one lag")
-        if not np.all(np.isfinite(mu)):
+        # one pass decides both checks: a NaN or infinite mu fails the bound too
+        peak = np.abs(mu).max()
+        if not peak <= 1.0 + 1e-12 and not np.isfinite(mu).all():
             raise DomainError(f"mu must be finite, got {mu}")
         if abs(mu[0] - 1.0) > 1e-12:
             raise DomainError(f"mu[0] must be 1, got {mu[0]}")
         mu[0] = 1.0
-        if np.any(np.abs(mu) > 1.0 + 1e-12):
+        if not peak <= 1.0 + 1e-12:
             raise DomainError(f"|mu_m| <= 1 violated: {mu}")
-        mu = np.clip(mu, -1.0, 1.0)
+        if peak > 1.0:
+            np.clip(mu, -1.0, 1.0, out=mu)
         mu.flags.writeable = False
-        lags = np.arange(mu.size)
-        t = mu[np.abs(lags[:, None] - lags[None, :])]
+        # row k of T is mu mirrored about lag 0 (mu_{n-1} .. mu_1 mu_0 .. mu_{n-1})
+        # read from offset n-1-k: one copy of a strided view, no lag index
+        n, step = mu.size, mu.itemsize
+        mirrored = np.concatenate((mu[:0:-1], mu))
+        t = np.ndarray((n, n), buffer=mirrored, offset=(n - 1) * step, strides=(-step, step)).copy()
         t.flags.writeable = False
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "mu_matrix", t)
         object.__setattr__(self, "eta_sq", float(self.eta_sq))
-        sigma = self.eta_sq * t
-        sigma.flags.writeable = False
-        object.__setattr__(self, "sigma", sigma)
         self._check_psd()
 
     def _check_psd(self):
@@ -152,6 +154,13 @@ class PhaseCovariance:
         """Build from the single-use damping g = exp(-2*eta^2) and mu by lag."""
         _check_damping(g)
         return cls(eta_sq=-0.5 * math.log(g), mu=np.asarray(mu, dtype=float))
+
+    @functools.cached_property
+    def sigma(self) -> np.ndarray:
+        """The dense covariance matrix eta^2 T, built on first read (read-only)."""
+        sigma = self.eta_sq * self.mu_matrix
+        sigma.flags.writeable = False
+        return sigma
 
     @property
     def n_uses(self) -> int:

@@ -158,6 +158,7 @@ def _sample_count(n) -> int:
 def _covariance_factor(cov: PhaseCovariance) -> np.ndarray:
     """Symmetric factor L with L L^T = Sigma (eigendecomposition).
 
+    Reads ``cov.sigma``, which the covariance builds when it is first read.
     ``PhaseCovariance`` has already decided that Sigma is positive
     semidefinite; the eigenvalues it let through below zero are rounding,
     and are clipped to zero here.

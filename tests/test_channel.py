@@ -289,7 +289,7 @@ class TestDecayFactor:
             decay_factor(CoherenceLabel(0, 7, 3), cov)
 
     def test_forms_cross_check_survives_optimized_mode(self):
-        # a covariance whose g disagrees with sigma must be caught under -O too
+        # a covariance whose g disagrees with eta^2 must be caught under -O too
         script = textwrap.dedent(
             """
             import sys

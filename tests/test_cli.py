@@ -198,7 +198,7 @@ class TestDecayCommand:
         assert capsys.readouterr().err == f"config error: field 'labels': {message}\n"
 
     def test_decay_cross_check_failure_exit_code(self, tmp_path, capsys):
-        # g is subnormal (~1e-322), so g**E and exp(-2 s^T Sigma s) disagree
+        # g is subnormal (~1e-322), so g**E and exp(-2 eta^2 E) disagree
         text = "gamma = 1e-9\ncoupling = 38.5\nn_uses = 2\n"
         code = main(["decay", "--config", write_config(tmp_path, text)])
         assert code == 2
@@ -706,7 +706,7 @@ class TestMainEntry:
             f"config error: field '{field}': {value} is too large to allocate ("
         )
 
-    # the Toeplitz index of 10^5 uses takes 74.5 GiB; a child process that
+    # the Toeplitz matrix T of 10^5 uses takes 74.5 GiB; a child process that
     # limits its own address space to 3 GiB sees the allocation fail without
     # the test process asking for it
     @pytest.mark.skipif(resource is None, reason="needs the resource module")
@@ -731,14 +731,13 @@ class TestMainEntry:
         )
         assert done.stdout == ""
 
-    # 10^6 fig2 rows take ~200 MB of strings, their grid ~40 MB; a child that
-    # limits its address space to 64 MB above its own size after the import
-    # fits the grid but not the rows, on any machine
-    @pytest.mark.skipif(
-        resource is None or not os.path.exists("/proc/self/status"),
-        reason="needs the resource module and /proc/self/status",
-    )
-    def test_fig2_rows_too_many_to_allocate_exit_code(self, tmp_path):
+    # 10^6 fig2 rows take ~200 MB of strings and fig3 rows ~140 MB, their grids
+    # ~40 MB and ~30 MB; a child that limits its address space to 64 MB above
+    # its own size after the import fits the grid but not the rows, on any
+    # machine.  A MemoryError raised for a Python object has no message, so
+    # the reason in the parentheses must not come out empty.
+    @staticmethod
+    def assert_rows_limited_config_error(tmp_path, command, field, value):
         script = (
             "import resource, sys\n"
             "from memphase.cli import main\n"
@@ -748,16 +747,33 @@ class TestMainEntry:
             "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        config = write_config(tmp_path, "mu1_step = 1e-6\n")
+        config = write_config(tmp_path, f"{field} = {value}\n")
         package_root = os.path.dirname(os.path.dirname(memphase.__file__))
         done = subprocess.run(
-            [sys.executable, "-c", script, "fig2", "--config", config],
+            [sys.executable, "-c", script, command, "--config", config],
             env=dict(os.environ, PYTHONPATH=package_root),
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 2
-        assert done.stderr.startswith("config error: field 'mu1_step': 1e-06 is too large to allocate (")
+        prefix = f"config error: field '{field}': {value} is too large to allocate ("
+        assert done.stderr.startswith(prefix)
+        assert done.stderr.endswith(")\n")
+        assert done.stderr[len(prefix) : -2].strip()
         assert done.stdout == ""
+
+    @pytest.mark.skipif(
+        resource is None or not os.path.exists("/proc/self/status"),
+        reason="needs the resource module and /proc/self/status",
+    )
+    def test_fig2_rows_too_many_to_allocate_exit_code(self, tmp_path):
+        self.assert_rows_limited_config_error(tmp_path, "fig2", "mu1_step", "1e-06")
+
+    @pytest.mark.skipif(
+        resource is None or not os.path.exists("/proc/self/status"),
+        reason="needs the resource module and /proc/self/status",
+    )
+    def test_fig3_rows_too_many_to_allocate_exit_code(self, tmp_path):
+        self.assert_rows_limited_config_error(tmp_path, "fig3", "eps_points", "1000000")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_coupling_exit_code(self, tmp_path, capsys, value):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,72 @@ class TestPhaseCovariance:
         mu[lag] = value
         with pytest.raises(DomainError):
             PhaseCovariance(eta_sq=1.0, mu=mu)
+
+    # the finite check comes before the mu[0] check, and that one before the
+    # |mu_m| bound, whose message shows mu with mu[0] already set to 1
+    @pytest.mark.parametrize(
+        "mu, message",
+        [
+            ([math.nan, 0.5], "mu must be finite, got [nan 0.5]"),
+            ([1.0, math.inf], "mu must be finite, got [ 1. inf]"),
+            ([1.0, -math.inf], "mu must be finite, got [  1. -inf]"),
+            ([0.9, math.nan], "mu must be finite, got [0.9 nan]"),
+            ([1.0, 0.5, math.nan, 2.0], "mu must be finite, got [1.  0.5 nan 2. ]"),
+            ([0.9, 1.5], "mu[0] must be 1, got 0.9"),
+            ([0.5, 0.2], "mu[0] must be 1, got 0.5"),
+            ([1.0 + 5e-13, 1.5], "|mu_m| <= 1 violated: [1.  1.5]"),
+            ([1.0, 0.5, -1.0 - 2e-12], "|mu_m| <= 1 violated: [ 1.   0.5 -1. ]"),
+        ],
+    )
+    def test_rejected_mu_messages(self, mu, message):
+        with pytest.raises(DomainError) as raised:
+            PhaseCovariance(eta_sq=1.0, mu=np.array(mu))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "mu, clipped",
+        [
+            ([1.0 + 5e-13, 1.0 + 1e-12], [1.0, 1.0]),
+            ([1.0 - 5e-13, -1.0 - 5e-13], [1.0, -1.0]),
+        ],
+    )
+    def test_mu_within_tolerance_of_one_is_clipped_to_one(self, mu, clipped):
+        given = np.array(mu)
+        cov = PhaseCovariance(eta_sq=1.0, mu=given)
+        assert cov.mu.tolist() == clipped
+        assert given.tolist() == mu
+
+    def test_sigma_is_built_on_first_read(self):
+        cov = PhaseCovariance(eta_sq=0.37, mu=0.6 ** np.arange(5))
+        assert "sigma" not in vars(cov)
+        sigma = cov.sigma
+        assert np.array_equal(sigma, cov.eta_sq * cov.mu_matrix)
+        assert not sigma.flags.writeable
+        assert cov.sigma is sigma
+
+    @pytest.mark.parametrize("n", range(1, 66))
+    def test_mu_matrix_equals_the_lag_index_form(self, n):
+        rng = np.random.default_rng(n)
+        # r^m cos(theta m) is positive definite for 0 < r < 1
+        rate, theta = rng.uniform(0.1, 0.9), rng.uniform(0.0, math.pi)
+        mu = rate ** np.arange(n) * np.cos(theta * np.arange(n))
+        t = PhaseCovariance(eta_sq=1.0, mu=mu).mu_matrix
+        lags = np.arange(n)
+        assert np.array_equal(t, mu[np.abs(lags[:, None] - lags[None, :])])
+        assert t.flags.c_contiguous
+        assert not t.flags.writeable
+
+    def test_construction_peak_is_one_dense_matrix(self):
+        # T is the one N x N array a covariance keeps; a lag index or a
+        # dense sigma alive beside it would double the peak
+        n = 1000
+        tracemalloc.start()
+        try:
+            PhaseCovariance(eta_sq=1.0, mu=0.5 ** np.arange(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
 
     def test_rejects_damping_outside_unit_interval(self):
         with pytest.raises(DomainError):
