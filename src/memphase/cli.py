@@ -289,24 +289,20 @@ def cmd_fig3(config: RunConfig) -> str:
         f"{int(check_mu_feasible(0.0, 0.0).feasible)},"
         f"{int(check_mu_feasible(1.0, 1.0).feasible)}"
     )
-
-    def row(eps: float) -> str:
-        g = g_from_epsilon(eps)
-        # the eps_min/eps_max check puts every grid epsilon in (0, 0.5), so
-        # g is in (0, 1) for the unchecked _fe_tqc calls
-        pe_2q = pe_two_qubit(g, 0.99)
-        pe_memoryless = 1.0 - _fe_tqc(g, 0.0, 0.0)
-        pe_worst = 1.0 - _fe_tqc(g, 1.0, 1.0)
-        return f"{eps:.12e},{pe_memoryless:.12e},{pe_worst:.12e},{pe_2q:.12e},{feasible}"
-
     lines = _metadata(config, "fig3")
     lines.append(
         "epsilon,Pe_tqc_memoryless,Pe_tqc_worst,Pe_two_qubit_mu099,"
         "feasible_memoryless,feasible_worst"
     )
     with _sized_by("eps_points", config.eps_points):
-        grid = np.geomspace(config.eps_min, config.eps_max, config.eps_points)
-        lines.extend(row(eps) for eps in grid.tolist())
+        for eps in np.geomspace(config.eps_min, config.eps_max, config.eps_points).tolist():
+            g = g_from_epsilon(eps)
+            # the eps_min/eps_max check puts every grid epsilon in (0, 0.5), so
+            # g is in (0, 1) for the unchecked _fe_tqc calls
+            pe_2q = pe_two_qubit(g, 0.99)
+            pe_memoryless = 1.0 - _fe_tqc(g, 0.0, 0.0)
+            pe_worst = 1.0 - _fe_tqc(g, 1.0, 1.0)
+            lines.append(f"{eps:.12e},{pe_memoryless:.12e},{pe_worst:.12e},{pe_2q:.12e},{feasible}")
         # the empty last line ends the text with a newline, in one join
         lines.append("")
         return "\n".join(lines)

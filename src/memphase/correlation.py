@@ -138,10 +138,7 @@ class PhaseCovariance:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "mu_matrix", t)
         object.__setattr__(self, "eta_sq", float(self.eta_sq))
-        self._check_psd()
-
-    def _check_psd(self):
-        w = np.linalg.eigvalsh(self.mu_matrix)
+        w = np.linalg.eigvalsh(t)
         object.__setattr__(self, "min_eigenvalue", float(w[0]))
         if w[0] < -PSD_TOLERANCE:
             raise NotPositiveSemidefinite(
@@ -180,16 +177,13 @@ def covariance_from_spectrum(spec: PowerSpectrum, params: ChannelParams) -> Phas
     is not positive and finite (it underflows for a very short window) or
     eta^2 overflows.
     """
-    lags = (0.0, *(m * params.tau for m in range(1, params.n_uses)))
-    kernels = kernel_integrals(spec, params.tau_p, lags)
+    kernels = kernel_integrals(spec, params.tau_p, [m * params.tau for m in range(params.n_uses)])
     # kernel_integrals rejects a value that is not finite, lag by lag, so a
     # bad I(0) is reported before any later lag
     i0 = next(kernels)
     if not i0 > 0.0:
         raise DomainError(f"kernel integral I(0) = {i0!r} at tau_p = {params.tau_p} is not positive")
-    mu = np.ones(params.n_uses)
-    for m, value in enumerate(kernels, start=1):
-        mu[m] = value / i0
+    mu = np.array([i0, *kernels]) / i0
     # a product, not coupling**2, which raises OverflowError instead of giving inf
     return PhaseCovariance(eta_sq=params.coupling * params.coupling * i0, mu=mu)
 

@@ -266,14 +266,14 @@ def mc_decay_factor(label: CoherenceLabel, phases: np.ndarray) -> McEstimate:
     reported alongside.
     """
     phases = np.asarray(phases)
-    n = phases.shape[0]
-    if n == 0:
+    if phases.ndim >= 1 and phases.shape[0] == 0:
         raise EmptyEnsemble("cannot estimate a decay factor from zero samples")
     if phases.ndim != 2 or phases.shape[1] != label.n_qubits:
         raise DimensionMismatch(
             f"ensemble shape {phases.shape} does not match label on "
             f"{label.n_qubits} qubits"
         )
+    n = phases.shape[0]
     # one product over the whole ensemble; only the exponentials are pooled
     x = phases @ label.s.astype(float)
     z = np.empty(n, dtype=complex)
@@ -341,11 +341,11 @@ def mc_tqc_fidelity(phases: np.ndarray) -> McEstimate:
     error is that of the mean of the per-sample fidelities.
     """
     phases = np.asarray(phases)
-    n = phases.shape[0]
-    if n == 0:
+    if phases.ndim >= 1 and phases.shape[0] == 0:
         raise EmptyEnsemble("cannot estimate a fidelity from zero samples")
     if phases.ndim != 2 or phases.shape[1] != 3:
         raise DimensionMismatch(f"need (n, 3) phase samples, got {phases.shape}")
+    n = phases.shape[0]
     w0, w1, w3 = _tqc_weights()
     # the layout and dtype of 2.0 * phases, which decide how c @ w1 rounds;
     # only the cosines are pooled, the product runs over the whole ensemble

@@ -446,6 +446,14 @@ class TestDecayEstimator:
         with pytest.raises(DimensionMismatch):
             mc_decay_factor(CoherenceLabel(0, 1, 2), np.zeros((10, 3)))
 
+    def test_zero_dimensional_ensemble_is_a_shape_error(self):
+        label = CoherenceLabel(0, 1, 1)
+        with pytest.raises(DimensionMismatch, match=r"ensemble shape \(\) does not match"):
+            mc_decay_factor(label, np.float64(0.3))
+        for empty in (np.empty(0), np.empty((0, 1))):
+            with pytest.raises(EmptyEnsemble):
+                mc_decay_factor(label, empty)
+
 
 def cosine_sum_fidelity(phases):
     """The 27-term estimator the folded form replaced: sum_s c_s cos(2 s.phi)."""
@@ -568,6 +576,13 @@ class TestFidelityEstimator:
             mc_tqc_fidelity(np.empty((0, 3)))
         with pytest.raises(DimensionMismatch):
             mc_tqc_fidelity(np.zeros((10, 2)))
+
+    def test_zero_dimensional_ensemble_is_a_shape_error(self):
+        with pytest.raises(DimensionMismatch, match=r"got \(\)"):
+            mc_tqc_fidelity(0.3)
+        for empty in (np.empty(0), np.empty((0, 3))):
+            with pytest.raises(EmptyEnsemble):
+                mc_tqc_fidelity(empty)
 
 
 class TestRandomFeasibleCovariance:
