@@ -336,7 +336,7 @@ def _suite_gaussian_identity(config: RunConfig) -> tuple[bool, str]:
     worst = 0.0
     for case in range(6):
         mu1 = rng.uniform(0.0, 1.0)
-        mu2 = rng.uniform(check_mu_feasible(mu1, mu1).mu2_lower, mu1)
+        mu2 = rng.uniform(_mu2_lower(mu1), mu1)
         g = rng.uniform(0.3, 0.95)
         cov = PhaseCovariance.from_damping(g, [1.0, mu1, mu2])
         j, l = int(rng.integers(0, 8)), int(rng.integers(0, 8))
@@ -358,7 +358,7 @@ def _suite_circuit_equivalence(config: RunConfig) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(25):
         mu1 = rng.uniform(0.0, 1.0)
-        mu2 = rng.uniform(check_mu_feasible(mu1, mu1).mu2_lower, mu1)
+        mu2 = rng.uniform(_mu2_lower(mu1), mu1)
         g = rng.uniform(0.2, 0.999)
         cov = PhaseCovariance.from_damping(g, [1.0, mu1, mu2])
         worst = max(worst, abs(fe_tqc_via_circuit(cov) - fe_tqc_memory(g, mu1, mu2)))

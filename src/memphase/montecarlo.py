@@ -26,14 +26,8 @@ a given (seed, n).  The substreams run on up to one thread per CPU the
 process may use; each writes only its own rows, so the ensemble does not
 depend on the thread count.  The draws are i.i.d., so every estimator
 reports the sample mean with the plain standard error std(ddof=1)/sqrt(n).
-
-The estimators run on the same pool and blocks: each block writes its rows
-of one preallocated per-sample array, and the mean and standard error are
-taken over the whole array.  Only elementwise ufuncs (the complex
-exponentials and the cosines, which are most of the cost) run per block.
-The products s.phi and cos(2 phi) @ w1 run once over the whole ensemble,
-because BLAS rounds a row of a product differently depending on how the rows
-are split.  So an estimate is bit-identical for any thread count.
+Only the two samplers use the pool; the estimators are whole-array numpy
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -106,28 +100,29 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_blocks(fill, n: int) -> None:
-    """Call ``fill(i, rows)`` for every non-empty block i of an n-row array.
+def _fill_substreams(fill, seed: int, n: int) -> None:
+    """Call ``fill(gen, rows)`` for every non-empty substream of an n-row ensemble.
 
-    ``rows`` is block i's fixed slice of the rows (``_chunk_sizes``).  The
-    calls are dealt round-robin into one share per usable CPU, capped at the
-    number of calls; the calling thread runs the first share and a pool
-    thread each other one, so a call starts at most one thread per further
-    CPU.  An error raised in any call reaches the caller.  ``fill`` must
-    write only its own rows and call only numpy (whose RNG fills, ufuncs and
-    BLAS products release the GIL), never a traced memphase function.
+    Substream i draws block i's fixed slice of the rows (``_chunk_sizes``),
+    so the ensemble depends on (seed, n) alone.  The calls are dealt
+    round-robin into one share per usable CPU, capped at the number of
+    calls; the calling thread runs the first share and a pool thread each
+    other one, so a call starts at most one thread per further CPU.  An
+    error raised in any call reaches the caller.  ``fill`` must write only
+    its own rows and call only numpy (whose RNG fills and BLAS products
+    release the GIL), never a traced memphase function.
     """
     tasks = []
     start = 0
-    for i, size in enumerate(_chunk_sizes(n)):
+    for gen, size in zip(_stream_generators(seed), _chunk_sizes(n)):
         if size > 0:
-            tasks.append((i, slice(start, start + size)))
+            tasks.append((gen, slice(start, start + size)))
         start += size
     shares = max(1, min(_usable_cpus(), len(tasks)))
 
     def run(share):
-        for i, rows in tasks[share::shares]:
-            fill(i, rows)
+        for gen, rows in tasks[share::shares]:
+            fill(gen, rows)
 
     # a pool that is never submitted to starts no thread
     with ThreadPoolExecutor(max_workers=max(1, shares - 1)) as pool:
@@ -135,16 +130,6 @@ def _fill_blocks(fill, n: int) -> None:
         run(0)
         for future in futures:
             future.result()
-
-
-def _fill_substreams(fill, seed: int, n: int) -> None:
-    """Call ``fill(gen, rows)`` for every non-empty substream of an n-row ensemble.
-
-    Substream i draws block i's rows (``_fill_blocks``), so the ensemble
-    depends on (seed, n) alone.
-    """
-    gens = _stream_generators(seed)
-    _fill_blocks(lambda i, rows: fill(gens[i], rows), n)
 
 
 def _sample_count(n) -> int:
@@ -205,7 +190,7 @@ def sample_phases_trajectory(
     window (dt is shrunk to divide tau_p evenly), and accumulates
     phi_k = (lambda/2) * trapezoid(xi) over window k.  Between windows the
     state jumps by one exact step of length tau - tau_p.  n must be an
-    integer >= 0 and dt > 0 (DomainError otherwise).
+    integer >= 0, and dt > 0 with tau_p/dt finite (DomainError otherwise).
     """
     if not isinstance(spec, Lorentzian):
         raise TypeError(
@@ -220,7 +205,10 @@ def sample_phases_trajectory(
         raise StepTooCoarse(
             f"dt={dt} too coarse; need dt <= tau_p/50 = {params.tau_p / 50.0}"
         )
-    m = math.ceil(params.tau_p / dt)
+    steps = params.tau_p / dt
+    if not math.isfinite(steps):
+        raise DomainError(f"time step dt={dt} is too small: tau_p/dt = {steps} steps per window")
+    m = math.ceil(steps)
     dt_w = params.tau_p / m
     gamma, sig = spec.rate, math.sqrt(spec.variance)
     alpha = math.exp(-gamma * dt_w)
@@ -274,14 +262,8 @@ def mc_decay_factor(label: CoherenceLabel, phases: np.ndarray) -> McEstimate:
             f"{label.n_qubits} qubits"
         )
     n = phases.shape[0]
-    # one product over the whole ensemble; only the exponentials are pooled
-    x = phases @ label.s.astype(float)
-    z = np.empty(n, dtype=complex)
-
-    def fill(i, rows):
-        np.exp(2j * x[rows], out=z[rows])
-
-    _fill_blocks(fill, n)
+    z = 2j * (phases @ label.s.astype(float))
+    np.exp(z, out=z)
     return McEstimate(complex(z.mean()), _standard_error(z.real), n, _standard_error(z.imag))
 
 
@@ -347,13 +329,7 @@ def mc_tqc_fidelity(phases: np.ndarray) -> McEstimate:
         raise DimensionMismatch(f"need (n, 3) phase samples, got {phases.shape}")
     n = phases.shape[0]
     w0, w1, w3 = _tqc_weights()
-    # the layout and dtype of 2.0 * phases, which decide how c @ w1 rounds;
-    # only the cosines are pooled, the product runs over the whole ensemble
-    c = np.empty_like(phases, dtype=np.result_type(2.0, phases))
-
-    def fill(i, rows):
-        np.cos(2.0 * phases[rows], out=c[rows])
-
-    _fill_blocks(fill, n)
+    c = 2.0 * phases
+    np.cos(c, out=c)
     fid = w0 + c @ w1 + w3 * (c[:, 0] * c[:, 1] * c[:, 2])
     return McEstimate(float(fid.mean()), _standard_error(fid), n)

@@ -32,7 +32,6 @@ from memphase.errors import (
 )
 import memphase.montecarlo as montecarlo
 from memphase.montecarlo import (
-    McEstimate,
     _chunk_sizes,
     _covariance_factor,
     _fill_substreams,
@@ -88,21 +87,6 @@ def serial_trajectory(spec, params, seed, n, dt):
                 xi = alpha_gap * xi + beta_gap * gen.standard_normal(size)
         row += size
     return out
-
-
-def serial_decay_factor(label, phases):
-    """The whole-array decay estimator the substream pool replaced, kept as a reference."""
-    z = np.exp(2j * (phases @ label.s.astype(float)))
-    n = phases.shape[0]
-    return McEstimate(complex(z.mean()), _standard_error(z.real), n, _standard_error(z.imag))
-
-
-def serial_tqc_fidelity(phases):
-    """The whole-array fidelity estimator the substream pool replaced, kept as a reference."""
-    w0, w1, w3 = _tqc_weights()
-    c = np.cos(2.0 * phases)
-    fid = w0 + c @ w1 + w3 * (c[:, 0] * c[:, 1] * c[:, 2])
-    return McEstimate(float(fid.mean()), _standard_error(fid), phases.shape[0])
 
 
 def mixed_label(n_uses):
@@ -174,55 +158,6 @@ class TestSubstreamPool:
         with pytest.raises(FloatingPointError):
             _fill_substreams(fill, 5, 100)
 
-
-# the identity sizes, and the size validate samples at
-ESTIMATOR_SIZES = IDENTITY_SIZES + [200_000]
-
-
-class TestPooledEstimators:
-    """The estimators' pooled per-sample values change no bit of an estimate.
-
-    ``repr`` round-trips every float, the sign of a zero included, so equal
-    reprs are equal bits.
-    """
-
-    # 8 uses: BLAS rounds rows of a product with 8 columns differently
-    # depending on how they are split, so the product must not be pooled
-    @pytest.mark.parametrize("n_uses", [1, 3, 8])
-    @pytest.mark.parametrize("n", ESTIMATOR_SIZES)
-    def test_decay_factor_matches_serial_reference(self, threads, n, n_uses):
-        cov = covariance_from_spectrum(Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, 1.5, n_uses))
-        phases = sample_phases_direct(cov, 79, n)
-        for label in (CoherenceLabel(0, (1 << n_uses) - 1, n_uses), mixed_label(n_uses)):
-            assert repr(mc_decay_factor(label, phases)) == repr(serial_decay_factor(label, phases))
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("n", ESTIMATOR_SIZES)
-    def test_fidelity_matches_serial_reference(self, threads, n, order):
-        cov = PhaseCovariance.from_damping(0.6, [1.0, 0.5, 0.25])
-        # the memory order decides how the whole-array product rounds a row;
-        # a mean absorbs a last-bit change in one row only at times
-        for seed in range(83, 91):
-            phases = np.asarray(sample_phases_direct(cov, seed, n), order=order)
-            assert repr(mc_tqc_fidelity(phases)) == repr(serial_tqc_fidelity(phases))
-
-    def test_identity_with_more_threads_than_cpus_and_frequent_switches(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
-        cov = PhaseCovariance.from_damping(0.6, [1.0, 0.5, 0.25])
-        label = mixed_label(3)
-        estimates = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for n in (5003, 200_000):
-                phases = sample_phases_direct(cov, 89, n)
-                estimates.append((phases, mc_decay_factor(label, phases), mc_tqc_fidelity(phases)))
-        finally:
-            sys.setswitchinterval(interval)
-        for phases, decay, fidelity in estimates:
-            assert repr(decay) == repr(serial_decay_factor(label, phases))
-            assert repr(fidelity) == repr(serial_tqc_fidelity(phases))
-
     def test_pool_threads_call_no_memphase_function(self, monkeypatch):
         # a traced memphase function keeps its spans on one unlocked stack,
         # so the blocks the pool runs call numpy alone
@@ -248,13 +183,12 @@ class TestPooledEstimators:
                     monkeypatch.setattr(module, key, recording(f"{module_name}.{key}", value))
         cov = PhaseCovariance.from_damping(0.6, [1.0, 0.5, 0.25])
         params = ChannelParams(1.0, 1.0, 1.5, 3)
-        phases = montecarlo.sample_phases_direct(cov, 97, 1001)
+        montecarlo.sample_phases_direct(cov, 97, 1001)
         montecarlo.sample_phases_trajectory(Lorentzian(1.0, 1.0), params, 97, 1001, 1.0 / 50)
-        montecarlo.mc_decay_factor(mixed_label(3), phases)
-        montecarlo.mc_tqc_fidelity(phases)
         assert [name for name, on_main in calls if not on_main] == []
         names = {name for name, _ in calls}
-        assert {"memphase.montecarlo.mc_decay_factor", "memphase.montecarlo._fill_blocks"} <= names
+        pooled = {"memphase.montecarlo.sample_phases_direct", "memphase.montecarlo._fill_substreams"}
+        assert pooled <= names
 
 
 class TestDirectSampling:
@@ -373,6 +307,13 @@ class TestTrajectorySampling:
                 Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, 1.0, 2), 1, 10, dt=dt
             )
 
+    def test_rejects_step_with_non_finite_step_count(self):
+        # tau_p / dt overflows to inf, which math.ceil cannot convert
+        with pytest.raises(DomainError, match="dt=5e-324"):
+            sample_phases_trajectory(
+                Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, 1.0, 3), 1, 10, dt=5e-324
+            )
+
     @pytest.mark.parametrize("n", [-1, 1.5])
     def test_rejects_bad_sample_count(self, n):
         with pytest.raises(DomainError, match="sample count n must be"):
@@ -446,6 +387,30 @@ class TestDecayEstimator:
         with pytest.raises(DimensionMismatch):
             mc_decay_factor(CoherenceLabel(0, 1, 2), np.zeros((10, 3)))
 
+    # pinned at the size validate samples; repr round-trips every float, so
+    # equal reprs are equal bits
+    @pytest.mark.parametrize(
+        "n_uses,expected",
+        [
+            (
+                3,
+                "McEstimate(value=(0.5036258571128672-0.0005309626977533691j), "
+                "standard_error=0.0011798589094267219, n_samples=200000, "
+                "imag_standard_error=0.0015296258312369245)",
+            ),
+            (
+                8,
+                "McEstimate(value=(0.2764775312700275+0.0010470724115874826j), "
+                "standard_error=0.0014608135149641861, n_samples=200000, "
+                "imag_standard_error=0.0015760210516682076)",
+            ),
+        ],
+    )
+    def test_golden_estimate(self, n_uses, expected):
+        cov = covariance_from_spectrum(Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, 1.5, n_uses))
+        phases = sample_phases_direct(cov, 79, 200_000)
+        assert repr(mc_decay_factor(mixed_label(n_uses), phases)) == expected
+
     def test_zero_dimensional_ensemble_is_a_shape_error(self):
         label = CoherenceLabel(0, 1, 1)
         with pytest.raises(DimensionMismatch, match=r"ensemble shape \(\) does not match"):
@@ -513,6 +478,28 @@ class TestFidelityEstimator:
         est = mc_tqc_fidelity(phases)
         assert est.value == pytest.approx(value, rel=1e-14, abs=0.0)
         assert est.standard_error == pytest.approx(standard_error, rel=1e-12, abs=0.0)
+
+    # at this seed the memory order changes the last bits of the estimate,
+    # since it decides how the product c @ w1 rounds a row
+    @pytest.mark.parametrize(
+        "order,expected",
+        [
+            (
+                "C",
+                "McEstimate(value=0.8819071740507552, standard_error=0.00038933151418470277, "
+                "n_samples=200000, imag_standard_error=0.0)",
+            ),
+            (
+                "F",
+                "McEstimate(value=0.8819071740507555, standard_error=0.0003893315141847027, "
+                "n_samples=200000, imag_standard_error=0.0)",
+            ),
+        ],
+    )
+    def test_golden_estimate(self, order, expected):
+        cov = PhaseCovariance.from_damping(0.6, [1.0, 0.5, 0.25])
+        phases = np.asarray(sample_phases_direct(cov, 87, 200_000), order=order)
+        assert repr(mc_tqc_fidelity(phases)) == expected
 
     def test_folded_weights_are_cached_and_read_only(self):
         w0, w1, w3 = _tqc_weights()
