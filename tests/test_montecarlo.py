@@ -32,6 +32,7 @@ from memphase.errors import (
 )
 import memphase.montecarlo as montecarlo
 from memphase.montecarlo import (
+    McEstimate,
     _chunk_sizes,
     _covariance_factor,
     _fill_substreams,
@@ -87,6 +88,21 @@ def serial_trajectory(spec, params, seed, n, dt):
                 xi = alpha_gap * xi + beta_gap * gen.standard_normal(size)
         row += size
     return out
+
+
+def serial_decay_factor(label, phases):
+    """The whole-array decay estimator with its temporaries, kept as a reference."""
+    z = np.exp(2j * (phases @ label.s.astype(float)))
+    n = phases.shape[0]
+    return McEstimate(complex(z.mean()), _standard_error(z.real), n, _standard_error(z.imag))
+
+
+def serial_tqc_fidelity(phases):
+    """The whole-array fidelity estimator with its temporaries, kept as a reference."""
+    w0, w1, w3 = _tqc_weights()
+    c = np.cos(2.0 * phases)
+    fid = w0 + c @ w1 + w3 * (c[:, 0] * c[:, 1] * c[:, 2])
+    return McEstimate(float(fid.mean()), _standard_error(fid), phases.shape[0])
 
 
 def mixed_label(n_uses):
@@ -189,6 +205,60 @@ class TestSubstreamPool:
         names = {name for name, _ in calls}
         pooled = {"memphase.montecarlo.sample_phases_direct", "memphase.montecarlo._fill_substreams"}
         assert pooled <= names
+
+
+# the identity sizes, and the size validate samples at
+ESTIMATOR_SIZES = IDENTITY_SIZES + [200_000]
+
+
+class TestEstimatorIdentity:
+    """An estimate from the pooled samplers and the in-place estimators is
+    bit-identical to one from the serial sampler and the estimator with
+    temporaries, whatever the pool's thread count and the memory order.
+
+    ``repr`` round-trips every float, the sign of a zero included, so equal
+    reprs are equal bits.
+    """
+
+    # 8 uses: BLAS rounds rows of a product with 8 columns differently
+    # depending on how they are split
+    @pytest.mark.parametrize("n_uses", [1, 3, 8])
+    @pytest.mark.parametrize("n", ESTIMATOR_SIZES)
+    def test_decay_factor_matches_serial_reference(self, threads, n, n_uses):
+        cov = covariance_from_spectrum(Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, 1.5, n_uses))
+        phases = sample_phases_direct(cov, 79, n)
+        reference = serial_direct(cov, 79, n)
+        for label in (CoherenceLabel(0, (1 << n_uses) - 1, n_uses), mixed_label(n_uses)):
+            assert repr(mc_decay_factor(label, phases)) == repr(serial_decay_factor(label, reference))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", ESTIMATOR_SIZES)
+    def test_fidelity_matches_serial_reference(self, threads, n, order):
+        cov = PhaseCovariance.from_damping(0.6, [1.0, 0.5, 0.25])
+        # the memory order decides how the whole-array product rounds a row;
+        # a mean absorbs a last-bit change in one row only at times
+        for seed in range(83, 91):
+            phases = np.asarray(sample_phases_direct(cov, seed, n), order=order)
+            reference = np.asarray(serial_direct(cov, seed, n), order=order)
+            assert repr(mc_tqc_fidelity(phases)) == repr(serial_tqc_fidelity(reference))
+
+    def test_identity_with_more_threads_than_cpus_and_frequent_switches(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        cov = PhaseCovariance.from_damping(0.6, [1.0, 0.5, 0.25])
+        label = mixed_label(3)
+        estimates = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (5003, 200_000):
+                phases = sample_phases_direct(cov, 89, n)
+                estimates.append((n, mc_decay_factor(label, phases), mc_tqc_fidelity(phases)))
+        finally:
+            sys.setswitchinterval(interval)
+        for n, decay, fidelity in estimates:
+            reference = serial_direct(cov, 89, n)
+            assert repr(decay) == repr(serial_decay_factor(label, reference))
+            assert repr(fidelity) == repr(serial_tqc_fidelity(reference))
 
 
 class TestDirectSampling:
