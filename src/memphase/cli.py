@@ -14,28 +14,32 @@ metadata lines (version, config hash, seed) and are byte-identical for a
 fixed config and seed.
 
 The ``fig2`` / ``fig3`` sweeps take their feasibility verdicts once per
-sweep, at the grid's ends, and print them in every row.  Each row is still
-Python scalar arithmetic (``**`` and ``math``, which call the C library's
-libm), one row at a time, not numpy ufuncs over the grid: numpy's SIMD
-``power``, ``log`` and ``expm1`` differ from libm in the last bit on some
-inputs, and an error probability 1 - F printed to 13 digits shows a
-last-bit change in F.
+sweep, at the grid's ends, and print them in every row.  Their numbers come
+from one loop per sweep in ``codes`` (``_fig2_points`` / ``_fig3_points``),
+in Python scalar arithmetic (``**`` and ``math``, which call the C library's
+libm), not numpy ufuncs over the grid: numpy's SIMD ``power``, ``log`` and
+``expm1`` differ from libm in the last bit on some inputs, and an error
+probability 1 - F printed to 13 digits shows a last-bit change in F.  The
+text is formatted with one ``%`` per chunk of rows; a ``fig2`` row whose
+band lower edge is 0 takes that column as fixed text.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import hashlib
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import chain, islice
 
 import numpy as np
 
 from . import __version__
 from .channel import CoherenceLabel, _decay_factors_and_exponents, _read_bitstrings, decay_factor
-from .codes import _fe_tqc, fe_tqc_memory, fe_tqc_via_circuit, pe_two_qubit
+from .codes import _fe_tqc, _fig2_points, _fig3_points, fe_tqc_memory, fe_tqc_via_circuit
 from .correlation import (
     ChannelParams,
     PhaseCovariance,
@@ -223,6 +227,18 @@ def cmd_decay(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# rows per % of a sweep's text: its argument tuples and transient strings
+# stay the size of a chunk, not of the sweep
+_CHUNK_ROWS = 1024
+
+
+def _chunked(row: str, count: int, points):
+    """The next ``count`` points of ``points`` as text, one ``%`` per chunk of rows."""
+    for start in range(0, count, _CHUNK_ROWS):
+        size = min(_CHUNK_ROWS, count - start)
+        yield (row * size) % tuple(chain.from_iterable(islice(points, size)))
+
+
 def cmd_fig2(config: RunConfig) -> str:
     """Error probabilities vs mu1 at fixed epsilon, mu2 at both band edges."""
     eps = config.epsilon
@@ -243,7 +259,7 @@ def cmd_fig2(config: RunConfig) -> str:
         )
     whole = abs(steps - round(steps)) <= 1e-9 * steps
     n_points = (round(steps) if whole else math.floor(steps)) + 1
-    # min(mu1, 1.0) below puts every grid mu1 in [0, 1], where both printed
+    # the clamp to 1 below puts every grid mu1 in [0, 1], where both printed
     # pairs (mu1, mu2_lower) and (mu1, mu1) lie in the band, so the verdict at
     # the grid's ends (0, 0) and (1, 1) is every row's verdict in both
     # feasibility columns; Pe_single and Pe_tqc_memoryless do not depend on mu1
@@ -255,24 +271,23 @@ def cmd_fig2(config: RunConfig) -> str:
         "mu1,mu2_lower,Pe_tqc_at_mu2_lower,Pe_tqc_at_mu2_eq_mu1,"
         "Pe_two_qubit,Pe_single,Pe_tqc_memoryless,feasible_lower,feasible_upper"
     )
+    row = f"%.6f,%.12e,%.12e,%.12e,%.12e,{tail}\n"
+    zero_row = f"%.6f,0.000000000000e+00,%.12e,%.12e,%.12e,{tail}\n"
     with _sized_by("mu1_step", config.mu1_step):
         # i * step for each i, the same IEEE product as in Python below 2^53 points
-        mu1_grid = (np.arange(n_points) * config.mu1_step).tolist()
+        mu1_grid = np.minimum(np.arange(n_points) * config.mu1_step, 1.0).tolist()
         if not whole:
             # a last point that prints as 1.000000 would duplicate the mu1 = 1 row
             if 1.0 - mu1_grid[-1] < 5e-7:
                 mu1_grid.pop()
             mu1_grid.append(1.0)
-        for mu1 in mu1_grid:
-            mu1 = min(mu1, 1.0)
-            mu2_lower = _mu2_lower(mu1)
-            lines.append(
-                f"{mu1:.6f},{mu2_lower:.12e},{1.0 - _fe_tqc(g, mu1, mu2_lower):.12e},"
-                f"{1.0 - _fe_tqc(g, mu1, mu1):.12e},{pe_two_qubit(g, mu1):.12e},{tail}"
-            )
-        # the empty last line ends the text with a newline, in one join
-        lines.append("")
-        return "\n".join(lines)
+        # the grid rises, so the points whose lower edge is 0 come first
+        n_zero = bisect.bisect_right(mu1_grid, 0.0, key=_mu2_lower)
+        points = _fig2_points(g, mu1_grid)
+        text = ["\n".join(lines) + "\n"]
+        text += _chunked(zero_row, n_zero, points)
+        text += _chunked(row, len(mu1_grid) - n_zero, points)
+        return "".join(text)
 
 
 def cmd_fig3(config: RunConfig) -> str:
@@ -294,18 +309,14 @@ def cmd_fig3(config: RunConfig) -> str:
         "epsilon,Pe_tqc_memoryless,Pe_tqc_worst,Pe_two_qubit_mu099,"
         "feasible_memoryless,feasible_worst"
     )
+    row = f"%.12e,%.12e,%.12e,%.12e,{feasible}\n"
     with _sized_by("eps_points", config.eps_points):
-        for eps in np.geomspace(config.eps_min, config.eps_max, config.eps_points).tolist():
-            g = g_from_epsilon(eps)
-            # the eps_min/eps_max check puts every grid epsilon in (0, 0.5), so
-            # g is in (0, 1) for the unchecked _fe_tqc calls
-            pe_2q = pe_two_qubit(g, 0.99)
-            pe_memoryless = 1.0 - _fe_tqc(g, 0.0, 0.0)
-            pe_worst = 1.0 - _fe_tqc(g, 1.0, 1.0)
-            lines.append(f"{eps:.12e},{pe_memoryless:.12e},{pe_worst:.12e},{pe_2q:.12e},{feasible}")
-        # the empty last line ends the text with a newline, in one join
-        lines.append("")
-        return "\n".join(lines)
+        eps_grid = np.geomspace(config.eps_min, config.eps_max, config.eps_points).tolist()
+        # the eps_min/eps_max check puts every grid epsilon in (0, 0.5), so g
+        # is in (0, 1) for the unchecked formulas
+        text = ["\n".join(lines) + "\n"]
+        text += _chunked(row, len(eps_grid), _fig3_points(eps_grid))
+        return "".join(text)
 
 
 def _suite_route_equivalence(config: RunConfig) -> tuple[bool, str]:

@@ -7,9 +7,15 @@ three-qubit phase code transmitted in order Q, A, B the pair correlations
 are mu_QA = mu_AB = mu1 and mu_QB = mu2.
 
 ``_fe_tqc`` holds the stationary three-qubit-code formula with no checks:
-``fe_tqc_memory`` calls it after checking its arguments, and the ``fig2`` /
-``fig3`` sweeps call it after checking each distinct value once per sweep,
-so the public function and the sweep columns share one expression.
+``fe_tqc_memory`` calls it after checking its arguments, and ``fig2`` calls
+it once per sweep for its memoryless column.  The ``fig2`` / ``fig3`` rows
+come from ``_fig2_points`` / ``_fig3_points``, one loop per sweep that
+repeats the operations of ``_fe_tqc``, ``pe_two_qubit`` and
+``correlation._mu2_lower`` in the same order, with the g-only terms
+(1/2 + 3g/4, g^3/16, ln g) taken once per sweep in ``fig2`` and once per row
+in ``fig3``, and a power that two bracket terms share taken once.
+``tests/test_codes.py::TestSweepPoints`` pins every number they yield to
+those functions' results by ``float.hex``.
 
 ``fe_tqc_via_circuit`` re-derives the closed form by running the full
 encode / channel / decode pipeline exactly (no sampling); agreement to
@@ -93,6 +99,59 @@ def _fe_tqc(g: float, mu1: float, mu2: float) -> float:
     """The ``fe_tqc_memory`` formula without the checks on g and (mu1, mu2)."""
     bracket = 2.0 * g ** (-2 * mu2) + g ** (2 * mu2 - 4 * mu1) + g ** (2 * mu2 + 4 * mu1)
     return 0.5 + 0.75 * g - g**3 / 16.0 * bracket
+
+
+def _fig2_points(g: float, mu1_grid):
+    """Yield the printed numbers of each fig2 grid point, unchecked.
+
+    Per mu1 in [0, 1]: (mu1, mu2_lower, Pe at mu2_lower, Pe at mu2 = mu1,
+    Pe_two_qubit), where mu2_lower = ``_mu2_lower(mu1)`` and the code error
+    probabilities are 1 - ``_fe_tqc`` and ``pe_two_qubit`` of g in (0, 1).
+    A point whose lower edge is 0 yields no mu2_lower, only the other four.
+    Each number is the same IEEE result as the named function's: the g-only
+    terms are taken once per sweep, and at mu2 = mu1 the exponents
+    2 mu1 - 4 mu1 and -2 mu1 are the same float, so that power is taken once.
+    """
+    fe0 = 0.5 + 0.75 * g
+    cube = g**3 / 16.0
+    log_g = math.log(g)
+    expm1 = math.expm1
+    for mu1 in mu1_grid:
+        twice, four = 2 * mu1, 4 * mu1
+        shared = g ** (-2 * mu1)
+        pe_equal = 1.0 - (fe0 - cube * (2.0 * shared + shared + g ** (twice + four)))
+        pe_2q = -0.5 * expm1(2.0 * (1.0 - mu1) * log_g) + 0.0
+        mu2 = 2.0 * mu1 * mu1 - 1.0
+        if mu2 > 0.0:
+            mu2_twice = 2 * mu2
+            bracket = 2.0 * g ** (-2 * mu2) + g ** (mu2_twice - four) + g ** (mu2_twice + four)
+            yield mu1, mu2, 1.0 - (fe0 - cube * bracket), pe_equal, pe_2q
+        else:
+            # g ** (-2 * 0.0) is 1.0
+            bracket = 2.0 + g ** -four + g**four
+            yield mu1, 1.0 - (fe0 - cube * bracket), pe_equal, pe_2q
+
+
+def _fig3_points(eps_grid):
+    """Yield (epsilon, Pe at (0, 0), Pe at (1, 1), Pe_two_qubit at mu1 = 0.99)
+    per epsilon in (0, 0.5), unchecked, each the same IEEE result as
+    1 - ``_fe_tqc`` and ``pe_two_qubit`` of g = 1 - 2 epsilon.  At (0, 0)
+    every power in the bracket is g ** 0 = 1, so the bracket is 4.0; at (1, 1)
+    the exponents -2 and 2 - 4 are the same float, so that power is taken once.
+    """
+    expm1, log = math.expm1, math.log
+    two_qubit = 2.0 * (1.0 - 0.99)
+    for eps in eps_grid:
+        g = 1.0 - 2.0 * eps
+        fe0 = 0.5 + 0.75 * g
+        cube = g**3 / 16.0
+        shared = g**-2.0
+        yield (
+            eps,
+            1.0 - (fe0 - cube * 4.0),
+            1.0 - (fe0 - cube * (2.0 * shared + shared + g**6.0)),
+            -0.5 * expm1(two_qubit * log(g)) + 0.0,
+        )
 
 
 def pe_tqc_memory(g: float, mu1: float, mu2: float) -> float:

@@ -49,6 +49,7 @@ from .spectrum import Lorentzian
 __all__ = [
     "McEstimate",
     "N_SUBSTREAMS",
+    "TRAJECTORY_BUDGET",
     "sample_phases_direct",
     "sample_phases_trajectory",
     "mc_decay_factor",
@@ -60,6 +61,12 @@ __all__ = [
 # substream fills a fixed block of rows, on up to one thread per usable CPU;
 # the thread count never changes an ensemble.
 N_SUBSTREAMS = 20
+
+# normal draws one ``sample_phases_trajectory`` call may take.  Its step
+# arrays hold at most one window's draws per path at a time, fewer doubles
+# than the budget, so the budget also bounds its memory (1.6 GB); the
+# largest draw in the test suite takes 1.2e8.
+TRAJECTORY_BUDGET = 200_000_000
 
 
 @dataclass(frozen=True)
@@ -191,6 +198,8 @@ def sample_phases_trajectory(
     phi_k = (lambda/2) * trapezoid(xi) over window k.  Between windows the
     state jumps by one exact step of length tau - tau_p.  n must be an
     integer >= 0, and dt > 0 with tau_p/dt finite (DomainError otherwise).
+    A call whose paths would draw more than TRAJECTORY_BUDGET normals raises
+    ``DomainError`` naming dt before it allocates anything.
     """
     if not isinstance(spec, Lorentzian):
         raise TypeError(
@@ -209,11 +218,19 @@ def sample_phases_trajectory(
     if not math.isfinite(steps):
         raise DomainError(f"time step dt={dt} is too small: tau_p/dt = {steps} steps per window")
     m = math.ceil(steps)
+    gap = params.tau - params.tau_p
+    # per path: the start state, m per window and one per gap between windows
+    draws = n * (1 + params.n_uses * m + (params.n_uses - 1 if gap > 0.0 else 0))
+    if draws > TRAJECTORY_BUDGET:
+        raise DomainError(
+            f"{n} paths of {params.n_uses} windows at time step dt={dt} "
+            f"({steps:.3g} steps per window) would draw more than the budget of "
+            f"{TRAJECTORY_BUDGET} normals"
+        )
     dt_w = params.tau_p / m
     gamma, sig = spec.rate, math.sqrt(spec.variance)
     alpha = math.exp(-gamma * dt_w)
     beta = sig * math.sqrt(1.0 - alpha * alpha)
-    gap = params.tau - params.tau_p
     alpha_gap = math.exp(-gamma * gap)
     beta_gap = sig * math.sqrt(1.0 - alpha_gap * alpha_gap)
     half_coupling = 0.5 * params.coupling

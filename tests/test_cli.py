@@ -434,7 +434,8 @@ def assert_same_rows(got, want):
 
 
 class TestSweepBytes:
-    """The sweeps check each constant once; their rows must not change by a byte."""
+    """The sweeps check each constant once and take each sweep's g-only terms
+    once; their rows must not change by a byte."""
 
     @pytest.mark.parametrize(
         "config",
@@ -449,10 +450,15 @@ class TestSweepBytes:
             RunConfig(mu1_step=0.007),
             RunConfig(epsilon=1e-7),
             RunConfig(epsilon=0.49),
+            RunConfig(epsilon=1e-9),
+            RunConfig(epsilon=0.4999),
+            RunConfig(mu1_step=0.07),
+            RunConfig(mu1_step=0.123),
         ],
         ids=[
             "default", "step-1e-4", "eps-1e-4", "eps-3.7e-3", "eps-0.1",
             "step-0.3", "step-0.33333333", "step-0.007", "eps-1e-7", "eps-0.49",
+            "eps-1e-9", "eps-0.4999", "step-0.07", "step-0.123",
         ],
     )
     def test_fig2_rows(self, config):
@@ -462,8 +468,13 @@ class TestSweepBytes:
 
     @pytest.mark.parametrize(
         "config",
-        [RunConfig(), RunConfig(eps_points=10_000), RunConfig(eps_min=1e-7, eps_max=0.49, eps_points=2)],
-        ids=["default", "points-10000", "range-1e-7-0.49-points-2"],
+        [
+            RunConfig(),
+            RunConfig(eps_points=10_000),
+            RunConfig(eps_min=1e-7, eps_max=0.49, eps_points=2),
+            RunConfig(eps_min=1e-9, eps_max=0.4999, eps_points=1001),
+        ],
+        ids=["default", "points-10000", "range-1e-7-0.49-points-2", "range-1e-9-0.4999-points-1001"],
     )
     def test_fig3_rows(self, config):
         with warnings.catch_warnings():
@@ -731,29 +742,36 @@ class TestMainEntry:
         )
         assert done.stdout == ""
 
-    # 10^6 fig2 rows take ~200 MB of strings and fig3 rows ~140 MB, their grids
-    # ~40 MB and ~30 MB; a child that limits its address space to 64 MB above
-    # its own size after the import fits the grid but not the rows, on any
-    # machine.  A MemoryError raised for a Python object has no message, so
-    # the reason in the parentheses must not come out empty.
     @staticmethod
-    def assert_rows_limited_config_error(tmp_path, command, field, value):
+    def run_rows_limited(tmp_path, command, field, value, headroom_kb):
+        """Run a sweep in a child whose address space may grow ``headroom_kb``
+        beyond its own size after importing memphase."""
         script = (
             "import resource, sys\n"
             "from memphase.cli import main\n"
             "with open('/proc/self/status') as fh:\n"
             "    size = next(int(line.split()[1]) for line in fh if line.startswith('VmSize:'))\n"
-            "limit = (size + (64 << 10)) << 10\n"
+            f"limit = (size + {headroom_kb}) << 10\n"
             "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
         config = write_config(tmp_path, f"{field} = {value}\n")
         package_root = os.path.dirname(os.path.dirname(memphase.__file__))
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", script, command, "--config", config],
             env=dict(os.environ, PYTHONPATH=package_root),
             capture_output=True, text=True, timeout=120,
         )
+
+    # 10^6 fig2 rows take ~280 MB of text (its chunks and their join) and fig3
+    # rows ~180 MB, their grids ~40 MB and ~30 MB; a child that limits its
+    # address space to 64 MB above its own size after the import fits the grid
+    # but not the rows, on any machine.  A MemoryError raised for a Python
+    # object has no message, so the reason in the parentheses must not come
+    # out empty.
+    @classmethod
+    def assert_rows_limited_config_error(cls, tmp_path, command, field, value):
+        done = cls.run_rows_limited(tmp_path, command, field, value, 64 << 10)
         assert done.returncode == 2
         prefix = f"config error: field '{field}': {value} is too large to allocate ("
         assert done.stderr.startswith(prefix)
@@ -774,6 +792,27 @@ class TestMainEntry:
     )
     def test_fig3_rows_too_many_to_allocate_exit_code(self, tmp_path):
         self.assert_rows_limited_config_error(tmp_path, "fig3", "eps_points", "1000000")
+
+    # a sweep's text is formatted a chunk of rows at a time: 10^6 rows fit in
+    # 340000 kB (fig2) and 220000 kB (fig3) above the interpreter's size, just
+    # under what formatting each row to its own string and joining the list took
+    @pytest.mark.skipif(
+        resource is None or not os.path.exists("/proc/self/status"),
+        reason="needs the resource module and /proc/self/status",
+    )
+    @pytest.mark.parametrize(
+        "command, field, value, headroom_kb, rows",
+        [
+            ("fig2", "mu1_step", "1e-06", 340_000, 1_000_001),
+            ("fig3", "eps_points", "1000000", 220_000, 1_000_000),
+        ],
+        ids=["fig2", "fig3"],
+    )
+    def test_million_rows_fit_the_limit(self, tmp_path, command, field, value, headroom_kb, rows):
+        done = self.run_rows_limited(tmp_path, command, field, value, headroom_kb)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert len(data_rows(done.stdout)) == rows + 1
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_coupling_exit_code(self, tmp_path, capsys, value):

@@ -10,6 +10,8 @@ import pytest
 from conftest import random_feasible_point
 from memphase.codes import (
     _fe_tqc,
+    _fig2_points,
+    _fig3_points,
     fe_single,
     fe_tqc_approx,
     fe_tqc_general,
@@ -19,7 +21,7 @@ from memphase.codes import (
     pe_tqc_memory,
     pe_two_qubit,
 )
-from memphase.correlation import PhaseCovariance
+from memphase.correlation import PhaseCovariance, _mu2_lower, g_from_epsilon
 from memphase.errors import DimensionMismatch, DomainError, FeasibilityWarning
 
 
@@ -82,10 +84,11 @@ class TestStationaryForm:
         assert math.isnan(value)
 
     def test_unchecked_kernel_is_the_public_formula(self, rng):
-        # the fig2/fig3 sweeps call _fe_tqc directly, so it must be bit-identical
+        # fe_tqc_memory and the fig2 tail call _fe_tqc, so it must be bit-identical
         for _ in range(500):
             g, mu1, mu2 = random_feasible_point(rng, g_lo=1e-3, g_hi=1.0)
             assert _fe_tqc(g, mu1, mu2) == fe_tqc_memory(g, mu1, mu2)
+
 
     def test_feasible_point_does_not_warn(self):
         with warnings.catch_warnings():
@@ -255,3 +258,47 @@ class TestCircuitEquivalence:
     def test_requires_three_uses(self):
         with pytest.raises(DimensionMismatch):
             fe_tqc_via_circuit(PhaseCovariance.from_damping(0.9, [1.0, 0.5]))
+
+
+# both ends of g, and mu1 on both sides of 1/sqrt(2), where the band's lower
+# edge leaves 0, and at the grid's ends
+SWEEP_EPSILONS = (1e-9, 1e-7, 1e-4, 1e-3, 0.1, 0.49, 0.4999)
+SWEEP_MU1 = sorted(
+    {0.0, 5e-324, 1e-300, 1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 2**-53, 1.0}
+    | {math.nextafter(1 / math.sqrt(2), 0.0), 1 / math.sqrt(2), math.nextafter(1 / math.sqrt(2), 1.0)}
+    | {math.nextafter(math.sqrt(0.5), 1.0), math.nextafter(math.nextafter(math.sqrt(0.5), 1.0), 1.0)}
+)
+
+
+class TestSweepPoints:
+    """The sweeps' own loops must print what the public functions return, to the last bit."""
+
+    @pytest.mark.parametrize("eps", SWEEP_EPSILONS)
+    def test_fig2_points_are_the_public_functions(self, eps, rng):
+        g = g_from_epsilon(eps)
+        grid = SWEEP_MU1 + sorted(rng.uniform(0.0, 1.0, 200).tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mu1, point in zip(grid, _fig2_points(g, grid), strict=True):
+                lower = _mu2_lower(mu1)
+                want = (mu1,) + ((lower,) if lower > 0.0 else ()) + (
+                    1.0 - fe_tqc_memory(g, mu1, lower),
+                    1.0 - fe_tqc_memory(g, mu1, mu1),
+                    pe_two_qubit(g, mu1),
+                )
+                assert [x.hex() for x in point] == [x.hex() for x in want], mu1
+
+    def test_fig3_points_are_the_public_functions(self, rng):
+        grid = list(SWEEP_EPSILONS) + rng.uniform(0.0, 0.5, 500).tolist()
+        grid += [math.nextafter(0.5, 0.0), 5e-324, 1e-300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eps, point in zip(grid, _fig3_points(grid), strict=True):
+                g = g_from_epsilon(eps)
+                want = (
+                    eps,
+                    1.0 - fe_tqc_memory(g, 0.0, 0.0),
+                    1.0 - fe_tqc_memory(g, 1.0, 1.0),
+                    pe_two_qubit(g, 0.99),
+                )
+                assert [x.hex() for x in point] == [x.hex() for x in want], eps

@@ -33,6 +33,7 @@ from memphase.errors import (
 import memphase.montecarlo as montecarlo
 from memphase.montecarlo import (
     McEstimate,
+    TRAJECTORY_BUDGET,
     _chunk_sizes,
     _covariance_factor,
     _fill_substreams,
@@ -46,6 +47,11 @@ from memphase.montecarlo import (
     sample_phases_trajectory,
 )
 from memphase.spectrum import Lorentzian, White
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 
 def serial_direct(cov, seed, n):
@@ -383,6 +389,57 @@ class TestTrajectorySampling:
             sample_phases_trajectory(
                 Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, 1.0, 3), 1, 10, dt=5e-324
             )
+
+    @pytest.mark.parametrize("dt", [1e-12, 1e-300])
+    def test_rejects_step_past_the_draw_budget(self, dt):
+        # 10 paths of 3 windows of tau_p/dt steps would draw ~3e13 or ~3e301 normals
+        with pytest.raises(DomainError, match=f"time step dt={dt} .*budget of {TRAJECTORY_BUDGET}"):
+            sample_phases_trajectory(
+                Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, 1.0, 3), 1, 10, dt=dt
+            )
+
+    def test_no_paths_draw_nothing_at_any_step(self):
+        params = ChannelParams(1.0, 1.0, 1.0, 3)
+        assert sample_phases_trajectory(Lorentzian(1.0, 1.0), params, 1, 0, 1e-300).shape == (0, 3)
+
+    @pytest.mark.parametrize("tau, draws", [(1.0, 4 * (1 + 3 * 50)), (1.5, 4 * (1 + 3 * 50 + 2))], ids=["no-gap", "gap"])
+    def test_budget_counts_every_draw(self, monkeypatch, tau, draws):
+        # per path: the start state, 50 steps per window, one normal per gap
+        spec, params = Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, tau, 3)
+        expected = sample_phases_trajectory(spec, params, 3, 4, 1.0 / 50)
+        monkeypatch.setattr(montecarlo, "TRAJECTORY_BUDGET", draws)
+        assert np.array_equal(sample_phases_trajectory(spec, params, 3, 4, 1.0 / 50), expected)
+        monkeypatch.setattr(montecarlo, "TRAJECTORY_BUDGET", draws - 1)
+        with pytest.raises(DomainError, match="dt=0.02"):
+            sample_phases_trajectory(spec, params, 3, 4, 1.0 / 50)
+
+    # at dt = 1e-9 each of the 10 paths asks for a (1e9, 1) step array, 8 GB
+    # that the draw touches: only a child that limits its own address space
+    # can show a check that comes too late without the machine running out
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_rejects_step_past_the_draw_budget_before_allocating(self):
+        script = textwrap.dedent(
+            """
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            from memphase import ChannelParams, Lorentzian, sample_phases_trajectory
+            from memphase.errors import DomainError
+            try:
+                sample_phases_trajectory(
+                    Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, 1.0, 3), 1, 10, dt=1e-9
+                )
+            except DomainError as exc:
+                print(f"DomainError: {exc}")
+            """
+        )
+        package_root = os.path.dirname(os.path.dirname(memphase.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=package_root),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("DomainError: 10 paths of 3 windows at time step dt=1e-09")
 
     @pytest.mark.parametrize("n", [-1, 1.5])
     def test_rejects_bad_sample_count(self, n):
