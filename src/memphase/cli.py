@@ -17,9 +17,12 @@ The ``fig2`` / ``fig3`` sweeps take their feasibility verdicts once per
 sweep, at the grid's ends, and print them in every row.  Their numbers come
 from one loop per sweep in ``codes`` (``_fig2_points`` / ``_fig3_points``),
 in Python scalar arithmetic (``**`` and ``math``, which call the C library's
-libm), not numpy ufuncs over the grid: numpy's SIMD ``power``, ``log`` and
-``expm1`` differ from libm in the last bit on some inputs, and an error
-probability 1 - F printed to 13 digits shows a last-bit change in F.  The
+libm), not numpy ufuncs over the grid: numpy's SIMD ``power``, ``log1p`` and
+``expm1`` differ from libm in the last bit on some inputs.  ``fig3``'s error
+probabilities and both sweeps' two-qubit column are formed from epsilon
+without cancellation, exact to the printed digits; ``fig2``'s three
+three-qubit-code columns are 1 - F, which shows a last-bit change in F and
+loses digits as epsilon falls (~1e-11 relative at epsilon = 1e-3).  The
 text is formatted with one ``%`` per chunk of rows; a ``fig2`` row whose
 band lower edge is 0 takes that column as fixed text.
 """
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .channel import CoherenceLabel, _decay_factors_and_exponents, _read_bitstrings, decay_factor
-from .codes import _fe_tqc, _fig2_points, _fig3_points, fe_tqc_memory, fe_tqc_via_circuit
+from .codes import _fig2_points, _fig3_points, fe_tqc_memory, fe_tqc_via_circuit
 from .correlation import (
     ChannelParams,
     PhaseCovariance,
@@ -264,7 +267,7 @@ def cmd_fig2(config: RunConfig) -> str:
     # the grid's ends (0, 0) and (1, 1) is every row's verdict in both
     # feasibility columns; Pe_single and Pe_tqc_memoryless do not depend on mu1
     feasible = int(check_mu_feasible(0.0, 0.0).feasible and check_mu_feasible(1.0, 1.0).feasible)
-    tail = f"{eps:.12e},{1.0 - _fe_tqc(g, 0.0, 0.0):.12e},{feasible},{feasible}"
+    tail = f"{eps:.12e},{1.0 - fe_tqc_memory(g, 0.0, 0.0):.12e},{feasible},{feasible}"
     lines = _metadata(config, "fig2")
     lines.append(f"# epsilon={eps:.6e} g={g:.12e}")
     lines.append(
@@ -283,7 +286,7 @@ def cmd_fig2(config: RunConfig) -> str:
             mu1_grid.append(1.0)
         # the grid rises, so the points whose lower edge is 0 come first
         n_zero = bisect.bisect_right(mu1_grid, 0.0, key=_mu2_lower)
-        points = _fig2_points(g, mu1_grid)
+        points = _fig2_points(eps, mu1_grid)
         text = ["\n".join(lines) + "\n"]
         text += _chunked(zero_row, n_zero, points)
         text += _chunked(row, len(mu1_grid) - n_zero, points)

@@ -6,16 +6,23 @@ coefficients mu1 (adjacent uses) and mu2 (next-to-adjacent).  For the
 three-qubit phase code transmitted in order Q, A, B the pair correlations
 are mu_QA = mu_AB = mu1 and mu_QB = mu2.
 
-``_fe_tqc`` holds the stationary three-qubit-code formula with no checks:
-``fe_tqc_memory`` calls it after checking its arguments, and ``fig2`` calls
-it once per sweep for its memoryless column.  The ``fig2`` / ``fig3`` rows
-come from ``_fig2_points`` / ``_fig3_points``, one loop per sweep that
-repeats the operations of ``_fe_tqc``, ``pe_two_qubit`` and
-``correlation._mu2_lower`` in the same order, with the g-only terms
-(1/2 + 3g/4, g^3/16, ln g) taken once per sweep in ``fig2`` and once per row
-in ``fig3``, and a power that two bracket terms share taken once.
-``tests/test_codes.py::TestSweepPoints`` pins every number they yield to
-those functions' results by ``float.hex``.
+The ``fig2`` / ``fig3`` rows come from ``_fig2_points`` / ``_fig3_points``,
+one loop per sweep.  ``fig3``'s memoryless and worst-case columns, the code
+at (mu1, mu2) = (0, 0) and (1, 1), are ``_pe_tqc_memoryless`` and
+``_pe_tqc_worst``: at those two points 1 - F factors as (1 - g)^2 times a
+polynomial in g, so it is formed without cancelling F against 1.  They take
+1 - g as u = 2 epsilon, which is exact in floats, not as 1 - g of the
+rounded g = 1 - 2 epsilon, which would carry g's rounding error into a
+number of size epsilon; both sweeps' two-qubit column takes ln g as
+log1p(-2 epsilon) for the same reason.  These columns are exact to the
+printed digits: ``tests/test_codes.py::TestFactoredForms`` checks the forms,
+and ``TestSweepPoints`` every number the sweeps yield for them, against
+mpmath in epsilon to 1e-15 relative.  ``fig2``'s three code columns still
+form 1 - F of ``fe_tqc_memory`` (~1e-11 relative at epsilon = 1e-3): its loop
+repeats that function's operations in the same order, with the g-only terms
+(1/2 + 3g/4, g^3/16) taken once per sweep and a power that two bracket terms
+share taken once, and ``TestSweepPoints`` pins those columns and mu2_lower
+to ``fe_tqc_memory`` and ``correlation._mu2_lower`` by ``float.hex``.
 
 ``fe_tqc_via_circuit`` re-derives the closed form by running the full
 encode / channel / decode pipeline exactly (no sampling); agreement to
@@ -92,35 +99,55 @@ def fe_tqc_memory(g: float, mu1: float, mu2: float) -> float:
             FeasibilityWarning,
             stacklevel=2,
         )
-    return _fe_tqc(g, mu1, mu2)
-
-
-def _fe_tqc(g: float, mu1: float, mu2: float) -> float:
-    """The ``fe_tqc_memory`` formula without the checks on g and (mu1, mu2)."""
     bracket = 2.0 * g ** (-2 * mu2) + g ** (2 * mu2 - 4 * mu1) + g ** (2 * mu2 + 4 * mu1)
     return 0.5 + 0.75 * g - g**3 / 16.0 * bracket
 
 
-def _fig2_points(g: float, mu1_grid):
+def _pe_tqc_memoryless(eps: float) -> float:
+    """1 - F at (mu1, mu2) = (0, 0) for epsilon in [0, 0.5), unchecked.
+
+    (1 - g)^2 (2 + g)/4 with 1 - g = u = 2 epsilon: u^2 (3 - u)/4.
+    """
+    u = 2.0 * eps
+    return u * u * (3.0 - u) / 4.0
+
+
+def _pe_tqc_worst(eps: float) -> float:
+    """1 - F at (mu1, mu2) = (1, 1) for epsilon in [0, 0.5), unchecked.
+
+    (g^9 - 9 g + 8)/16 = u^2 P(g)/16 with u = 2 epsilon, g = 1 - u and
+    P(g) = g^7 + 2 g^6 + 3 g^5 + 4 g^4 + 5 g^3 + 6 g^2 + 7 g + 8, by Horner's rule.
+    """
+    u = 2.0 * eps
+    g = 1.0 - u
+    p = ((((((g + 2.0) * g + 3.0) * g + 4.0) * g + 5.0) * g + 6.0) * g + 7.0) * g + 8.0
+    return u * u * p / 16.0
+
+
+def _fig2_points(eps: float, mu1_grid):
     """Yield the printed numbers of each fig2 grid point, unchecked.
 
     Per mu1 in [0, 1]: (mu1, mu2_lower, Pe at mu2_lower, Pe at mu2 = mu1,
-    Pe_two_qubit), where mu2_lower = ``_mu2_lower(mu1)`` and the code error
-    probabilities are 1 - ``_fe_tqc`` and ``pe_two_qubit`` of g in (0, 1).
-    A point whose lower edge is 0 yields no mu2_lower, only the other four.
-    Each number is the same IEEE result as the named function's: the g-only
-    terms are taken once per sweep, and at mu2 = mu1 the exponents
-    2 mu1 - 4 mu1 and -2 mu1 are the same float, so that power is taken once.
+    Pe_two_qubit), where mu2_lower = ``_mu2_lower(mu1)``, the code error
+    probabilities are 1 - ``fe_tqc_memory`` of g = 1 - 2 epsilon in (0, 1),
+    and Pe_two_qubit is ``pe_two_qubit``'s form with ln g taken as
+    log1p(-2 epsilon).  A point whose lower edge is 0 yields no mu2_lower,
+    only the other four.  The code columns are the same IEEE results as
+    ``fe_tqc_memory``'s: the g-only terms are taken once per sweep, and at
+    mu2 = mu1 the exponents 2 mu1 - 4 mu1 and -2 mu1 are the same float, so
+    that power is taken once.
     """
+    g = 1.0 - 2.0 * eps
     fe0 = 0.5 + 0.75 * g
     cube = g**3 / 16.0
-    log_g = math.log(g)
+    # ln g < 0 for epsilon > 0, so -expm1 of a multiple of it is never -0
+    log_g = math.log1p(-2.0 * eps)
     expm1 = math.expm1
     for mu1 in mu1_grid:
         twice, four = 2 * mu1, 4 * mu1
         shared = g ** (-2 * mu1)
         pe_equal = 1.0 - (fe0 - cube * (2.0 * shared + shared + g ** (twice + four)))
-        pe_2q = -0.5 * expm1(2.0 * (1.0 - mu1) * log_g) + 0.0
+        pe_2q = -0.5 * expm1(2.0 * (1.0 - mu1) * log_g)
         mu2 = 2.0 * mu1 * mu1 - 1.0
         if mu2 > 0.0:
             mu2_twice = 2 * mu2
@@ -134,23 +161,17 @@ def _fig2_points(g: float, mu1_grid):
 
 def _fig3_points(eps_grid):
     """Yield (epsilon, Pe at (0, 0), Pe at (1, 1), Pe_two_qubit at mu1 = 0.99)
-    per epsilon in (0, 0.5), unchecked, each the same IEEE result as
-    1 - ``_fe_tqc`` and ``pe_two_qubit`` of g = 1 - 2 epsilon.  At (0, 0)
-    every power in the bracket is g ** 0 = 1, so the bracket is 4.0; at (1, 1)
-    the exponents -2 and 2 - 4 are the same float, so that power is taken once.
+    per epsilon in (0, 0.5), unchecked: the two factored forms, and
+    ``pe_two_qubit``'s form with ln g taken as log1p(-2 epsilon).
     """
-    expm1, log = math.expm1, math.log
+    expm1, log1p = math.expm1, math.log1p
     two_qubit = 2.0 * (1.0 - 0.99)
     for eps in eps_grid:
-        g = 1.0 - 2.0 * eps
-        fe0 = 0.5 + 0.75 * g
-        cube = g**3 / 16.0
-        shared = g**-2.0
         yield (
             eps,
-            1.0 - (fe0 - cube * 4.0),
-            1.0 - (fe0 - cube * (2.0 * shared + shared + g**6.0)),
-            -0.5 * expm1(two_qubit * log(g)) + 0.0,
+            _pe_tqc_memoryless(eps),
+            _pe_tqc_worst(eps),
+            -0.5 * expm1(two_qubit * log1p(-2.0 * eps)),
         )
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "McEstimate",
     "N_SUBSTREAMS",
     "TRAJECTORY_BUDGET",
+    "TRAJECTORY_STEP_BUDGET",
     "sample_phases_direct",
     "sample_phases_trajectory",
     "mc_decay_factor",
@@ -67,6 +68,13 @@ N_SUBSTREAMS = 20
 # than the budget, so the budget also bounds its memory (1.6 GB); the
 # largest draw in the test suite takes 1.2e8.
 TRAJECTORY_BUDGET = 200_000_000
+
+# Python loop steps one ``sample_phases_trajectory`` call may take: each
+# non-empty substream advances its paths one step at a time through every
+# window, at a few microseconds a step however few paths it holds, so this
+# bounds the call's time (seconds) where the draw budget does not; the
+# largest call in the test suite takes 12 000.
+TRAJECTORY_STEP_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -198,8 +206,10 @@ def sample_phases_trajectory(
     phi_k = (lambda/2) * trapezoid(xi) over window k.  Between windows the
     state jumps by one exact step of length tau - tau_p.  n must be an
     integer >= 0, and dt > 0 with tau_p/dt finite (DomainError otherwise).
-    A call whose paths would draw more than TRAJECTORY_BUDGET normals raises
-    ``DomainError`` naming dt before it allocates anything.
+    A call whose paths would draw more than TRAJECTORY_BUDGET normals, or
+    take more than TRAJECTORY_STEP_BUDGET loop steps (one per step of a
+    window per non-empty substream), raises ``DomainError`` naming dt before
+    it allocates or draws anything.
     """
     if not isinstance(spec, Lorentzian):
         raise TypeError(
@@ -226,6 +236,13 @@ def sample_phases_trajectory(
             f"{n} paths of {params.n_uses} windows at time step dt={dt} "
             f"({steps:.3g} steps per window) would draw more than the budget of "
             f"{TRAJECTORY_BUDGET} normals"
+        )
+    loop_steps = min(n, N_SUBSTREAMS) * params.n_uses * m
+    if loop_steps > TRAJECTORY_STEP_BUDGET:
+        raise DomainError(
+            f"{n} paths of {params.n_uses} windows at time step dt={dt} "
+            f"({m} steps per window in each of {min(n, N_SUBSTREAMS)} substreams) would take "
+            f"{loop_steps} loop steps, more than the budget of {TRAJECTORY_STEP_BUDGET}"
         )
     dt_w = params.tau_p / m
     gamma, sig = spec.rate, math.sqrt(spec.variance)

@@ -28,7 +28,13 @@ from memphase.cli import (
     cmd_validate,
     main,
 )
-from memphase.codes import fe_tqc_general, pe_tqc_memory, pe_two_qubit
+from memphase.codes import (
+    _pe_tqc_memoryless,
+    _pe_tqc_worst,
+    fe_tqc_general,
+    pe_tqc_memory,
+    pe_two_qubit,
+)
 from memphase.correlation import (
     ChannelParams,
     check_mu_feasible,
@@ -270,6 +276,13 @@ class TestFig2Command:
         assert mu1[-1] == "1.000000"
         assert len(mu1) == len(set(mu1)) == math.floor(1.0 / step) + 1
 
+    def test_two_qubit_column_exact_at_small_epsilon(self):
+        # at mu1 = 0.5 the column is (1 - g)/2 = epsilon itself; ln g of the
+        # rounded g printed 9.999999999999e-05
+        rows = [r.split(",") for r in data_rows(cmd_fig2(RunConfig(epsilon=1e-4)))[1:]]
+        (row,) = [r for r in rows if r[0] == "0.500000"]
+        assert row[4] == "1.000000000000e-04"
+
     def test_all_rows_annotated_feasible(self):
         text = cmd_fig2(RunConfig(mu1_step=0.1))
         for row in data_rows(text)[1:]:
@@ -297,6 +310,28 @@ class TestFig3Command:
         g = 1 - 2 * eps
         assert float(row[3]) == pytest.approx((1 - g**0.02) / 2, rel=1e-9)
 
+    def test_error_probabilities_exact_at_small_epsilon(self):
+        # 1 - F printed 1.110223024625e-16 for both code columns here, and ln g
+        # of the rounded g 2.000000056418e-11 for the two-qubit code
+        text = cmd_fig3(RunConfig(eps_min=1e-9, eps_max=0.4999, eps_points=1001))
+        assert data_rows(text)[1] == (
+            "1.000000000000e-09,2.999999998000e-18,8.999999958000e-18,2.000000001960e-11,1,1"
+        )
+
+    def test_subnormal_epsilon_prints_positive_zero(self, tmp_path):
+        # under -W error, so that no float warning passes unseen either
+        config = write_config(tmp_path, "eps_min = 5e-324\n")
+        package_root = os.path.dirname(os.path.dirname(memphase.__file__))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "memphase.cli", "fig3", "--config", config],
+            env=dict(os.environ, PYTHONPATH=package_root),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        rows = data_rows(done.stdout)[1:]
+        assert rows[0] == "4.940656458412e-324,0.000000000000e+00,0.000000000000e+00,0.000000000000e+00,1,1"
+        assert not any(field.startswith("-") for row in rows for field in row.split(","))
+
     def test_bad_range_diagnostic(self):
         with pytest.raises(ConfigError, match="eps_min"):
             cmd_fig3(RunConfig(eps_min=0.2, eps_max=0.1))
@@ -311,6 +346,21 @@ def reference_pe_tqc(g, mu1, mu2):
     # fe_tqc_general writes the formula out on its own, so a fault in the
     # formula both sides share shows up here; 2e-15 is about ten ulp of F = 1
     assert abs(pe - (1.0 - fe_tqc_general(g, mu1, mu2, mu1))) <= 2e-15
+    return pe
+
+
+def reference_pe_two_qubit(eps, mu1):
+    pe = -0.5 * math.expm1(2.0 * (1.0 - mu1) * math.log1p(-2.0 * eps)) + 0.0
+    # pe_two_qubit takes ln g of the rounded g = 1 - 2 eps, which moves its
+    # value by at most ~2e-16; test_codes checks this form against mpmath
+    assert abs(pe - pe_two_qubit(g_from_epsilon(eps), mu1)) <= 2e-15
+    return pe
+
+
+def reference_fixed_mu(form, eps, mu):
+    pe = form(eps)
+    # 1 - F of the full formula is within ~1e-16 of the factored form
+    assert abs(pe - reference_pe_tqc(g_from_epsilon(eps), mu, mu)) <= 2e-15
     return pe
 
 
@@ -333,7 +383,7 @@ def reference_fig2_rows(config):
         mu2_lower = max(0.0, 2.0 * mu1 * mu1 - 1.0)
         pe_lower = reference_pe_tqc(g, mu1, mu2_lower)
         pe_upper = reference_pe_tqc(g, mu1, mu1)
-        pe_2q = pe_two_qubit(g, mu1)
+        pe_2q = reference_pe_two_qubit(eps, mu1)
         pe_memoryless = reference_pe_tqc(g, 0.0, 0.0)
         feas_lo = check_mu_feasible(mu1, mu2_lower).feasible
         feas_hi = check_mu_feasible(mu1, mu1).feasible
@@ -350,10 +400,9 @@ def reference_fig3_rows(config):
     rows = []
     for eps in np.geomspace(config.eps_min, config.eps_max, config.eps_points):
         eps = float(eps)
-        g = g_from_epsilon(eps)
-        pe_memoryless = reference_pe_tqc(g, 0.0, 0.0)
-        pe_worst = reference_pe_tqc(g, 1.0, 1.0)
-        pe_2q = pe_two_qubit(g, 0.99)
+        pe_memoryless = reference_fixed_mu(_pe_tqc_memoryless, eps, 0.0)
+        pe_worst = reference_fixed_mu(_pe_tqc_worst, eps, 1.0)
+        pe_2q = reference_pe_two_qubit(eps, 0.99)
         feas_0 = check_mu_feasible(0.0, 0.0).feasible
         feas_1 = check_mu_feasible(1.0, 1.0).feasible
         rows.append(
@@ -435,7 +484,7 @@ def assert_same_rows(got, want):
 
 class TestSweepBytes:
     """The sweeps check each constant once and take each sweep's g-only terms
-    once; their rows must not change by a byte."""
+    once; their rows must print the per-row references byte for byte."""
 
     @pytest.mark.parametrize(
         "config",

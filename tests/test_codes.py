@@ -9,9 +9,10 @@ import pytest
 
 from conftest import random_feasible_point
 from memphase.codes import (
-    _fe_tqc,
     _fig2_points,
     _fig3_points,
+    _pe_tqc_memoryless,
+    _pe_tqc_worst,
     fe_single,
     fe_tqc_approx,
     fe_tqc_general,
@@ -75,19 +76,13 @@ class TestStationaryForm:
     def test_infeasible_point_warns_but_evaluates(self):
         with pytest.warns(FeasibilityWarning):
             value = fe_tqc_memory(0.9, 0.9, 0.5)
-        assert value == _fe_tqc(0.9, 0.9, 0.5)
+        assert value == pytest.approx(fe_tqc_general(0.9, 0.9, 0.5, 0.9), abs=1e-15)
         assert 0.0 < value < 1.0
 
     def test_nan_mu2_warns(self):
         with pytest.warns(FeasibilityWarning, match="mu2_not_finite"):
             value = fe_tqc_memory(0.9, 0.5, math.nan)
         assert math.isnan(value)
-
-    def test_unchecked_kernel_is_the_public_formula(self, rng):
-        # fe_tqc_memory and the fig2 tail call _fe_tqc, so it must be bit-identical
-        for _ in range(500):
-            g, mu1, mu2 = random_feasible_point(rng, g_lo=1e-3, g_hi=1.0)
-            assert _fe_tqc(g, mu1, mu2) == fe_tqc_memory(g, mu1, mu2)
 
 
     def test_feasible_point_does_not_warn(self):
@@ -270,35 +265,87 @@ SWEEP_MU1 = sorted(
 )
 
 
+def exact_pe_tqc(eps, mu1, mu2):
+    """1 - F of the stationary formula at g = 1 - 2 eps, exact in the float eps.
+
+    The bracket is written out unfactored, so the subtraction from 1 loses
+    about 2 log10(1/eps) digits; the working precision covers them and
+    leaves 50.
+    """
+    with mpmath.workdps(50 + 2 * max(0, -math.floor(math.log10(eps)))):
+        g = 1 - 2 * mpmath.mpf(eps)
+        bracket = 2 * g ** (-2 * mu2) + g ** (2 * mu2 - 4 * mu1) + g ** (2 * mu2 + 4 * mu1)
+        return +(1 - (mpmath.mpf(1) / 2 + 3 * g / 4 - g**3 / 16 * bracket))
+
+
+def exact_pe_two_qubit(eps, mu1):
+    """(1 - g^(2 - 2 mu1))/2 at g = 1 - 2 eps, exact in the floats eps and mu1."""
+    with mpmath.workdps(50):
+        return -mpmath.expm1(2 * (1 - mpmath.mpf(mu1)) * mpmath.log1p(-2 * mpmath.mpf(eps))) / 2
+
+
+def assert_exact(got, exact, what):
+    """got is the float nearest exact, or within 1e-15 of it, relative."""
+    assert got == float(exact) or abs(got - exact) <= 1e-15 * abs(exact), (what, got, exact)
+
+
+# a log grid down to where u^2 = 4 eps^2 is still a normal float, and the
+# largest epsilon below 1/2, where g = 2^-53
+EXACT_EPSILONS = np.geomspace(1e-150, 0.4999, 301).tolist() + [math.nextafter(0.5, 0.0)]
+
+
+class TestFactoredForms:
+    """The fig3 and two-qubit columns are exact to the printed digits at any epsilon."""
+
+    def test_fixed_mu_forms_are_exact(self):
+        for eps in EXACT_EPSILONS:
+            assert_exact(_pe_tqc_memoryless(eps), exact_pe_tqc(eps, 0, 0), ("(0, 0)", eps))
+            assert_exact(_pe_tqc_worst(eps), exact_pe_tqc(eps, 1, 1), ("(1, 1)", eps))
+
+    def test_two_qubit_form_is_exact(self):
+        for eps in EXACT_EPSILONS:
+            for mu1 in (0.0, 0.5, 0.99):
+                *_, pe_2q = next(_fig2_points(eps, [mu1]))
+                assert_exact(pe_2q, exact_pe_two_qubit(eps, mu1), ("fig2", mu1, eps))
+            *_, pe_2q = next(_fig3_points([eps]))
+            assert_exact(pe_2q, exact_pe_two_qubit(eps, 0.99), ("fig3", eps))
+
+    def test_fixed_mu_forms_at_zero_epsilon(self):
+        for form in (_pe_tqc_memoryless, _pe_tqc_worst):
+            assert math.copysign(1.0, form(0.0)) == 1.0 and form(0.0) == 0.0
+
+
 class TestSweepPoints:
-    """The sweeps' own loops must print what the public functions return, to the last bit."""
+    """The sweeps' own loops print fig2's code columns as the public functions
+    return them, to the last bit, and every other column exact in epsilon."""
 
     @pytest.mark.parametrize("eps", SWEEP_EPSILONS)
-    def test_fig2_points_are_the_public_functions(self, eps, rng):
+    def test_fig2_points(self, eps, rng):
+        # mu2_lower and the code columns are the public functions' bits; the
+        # two-qubit column is exact in epsilon
         g = g_from_epsilon(eps)
         grid = SWEEP_MU1 + sorted(rng.uniform(0.0, 1.0, 200).tolist())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for mu1, point in zip(grid, _fig2_points(g, grid), strict=True):
+            for mu1, point in zip(grid, _fig2_points(eps, grid), strict=True):
                 lower = _mu2_lower(mu1)
                 want = (mu1,) + ((lower,) if lower > 0.0 else ()) + (
                     1.0 - fe_tqc_memory(g, mu1, lower),
                     1.0 - fe_tqc_memory(g, mu1, mu1),
-                    pe_two_qubit(g, mu1),
                 )
-                assert [x.hex() for x in point] == [x.hex() for x in want], mu1
+                assert [x.hex() for x in point[:-1]] == [x.hex() for x in want], mu1
+                assert_exact(point[-1], exact_pe_two_qubit(eps, mu1), mu1)
 
-    def test_fig3_points_are_the_public_functions(self, rng):
+    def test_fig3_points(self, rng):
+        # every column exact in epsilon, down to subnormal epsilon, where
+        # the nearest float of each error probability is 0
         grid = list(SWEEP_EPSILONS) + rng.uniform(0.0, 0.5, 500).tolist()
         grid += [math.nextafter(0.5, 0.0), 5e-324, 1e-300]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for eps, point in zip(grid, _fig3_points(grid), strict=True):
-                g = g_from_epsilon(eps)
-                want = (
-                    eps,
-                    1.0 - fe_tqc_memory(g, 0.0, 0.0),
-                    1.0 - fe_tqc_memory(g, 1.0, 1.0),
-                    pe_two_qubit(g, 0.99),
-                )
-                assert [x.hex() for x in point] == [x.hex() for x in want], eps
+                assert point[0] == eps
+                assert_exact(point[1], exact_pe_tqc(eps, 0, 0), eps)
+                assert_exact(point[2], exact_pe_tqc(eps, 1, 1), eps)
+                assert_exact(point[3], exact_pe_two_qubit(eps, 0.99), eps)
+                assert all(math.copysign(1.0, x) == 1.0 for x in point), eps

@@ -34,6 +34,7 @@ import memphase.montecarlo as montecarlo
 from memphase.montecarlo import (
     McEstimate,
     TRAJECTORY_BUDGET,
+    TRAJECTORY_STEP_BUDGET,
     _chunk_sizes,
     _covariance_factor,
     _fill_substreams,
@@ -440,6 +441,43 @@ class TestTrajectorySampling:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("DomainError: 10 paths of 3 windows at time step dt=1e-09")
+
+    @pytest.mark.parametrize("n, loop_steps", [(4, 4 * 3 * 50), (50, 20 * 3 * 50)], ids=["4-paths", "50-paths"])
+    def test_step_budget_counts_every_loop_step(self, monkeypatch, n, loop_steps):
+        # one loop step per step of each window in each non-empty substream
+        spec, params = Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, 1.5, 3)
+        expected = sample_phases_trajectory(spec, params, 3, n, 1.0 / 50)
+        monkeypatch.setattr(montecarlo, "TRAJECTORY_STEP_BUDGET", loop_steps)
+        assert np.array_equal(sample_phases_trajectory(spec, params, 3, n, 1.0 / 50), expected)
+        monkeypatch.setattr(montecarlo, "TRAJECTORY_STEP_BUDGET", loop_steps - 1)
+        with pytest.raises(DomainError, match=f"dt=0.02 .*{loop_steps} loop steps"):
+            sample_phases_trajectory(spec, params, 3, n, 1.0 / 50)
+
+    # 10 paths at dt = 1e-6 draw 3e7 normals, within the draw budget, but
+    # take 3e7 steps of the Python loop, minutes of it: a child with a
+    # timeout fails where the check is missing instead of hanging
+    def test_rejects_step_past_the_loop_budget_at_once(self):
+        script = textwrap.dedent(
+            """
+            from memphase import ChannelParams, Lorentzian, sample_phases_trajectory
+            from memphase.errors import DomainError
+            try:
+                sample_phases_trajectory(
+                    Lorentzian(1.0, 1.0), ChannelParams(1.0, 1.0, 1.0, 3), 1, 10, dt=1e-6
+                )
+            except DomainError as exc:
+                print(f"DomainError: {exc}")
+            """
+        )
+        package_root = os.path.dirname(os.path.dirname(memphase.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=package_root),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("DomainError: 10 paths of 3 windows at time step dt=1e-06")
+        assert f"budget of {TRAJECTORY_STEP_BUDGET}" in done.stdout
 
     @pytest.mark.parametrize("n", [-1, 1.5])
     def test_rejects_bad_sample_count(self, n):
