@@ -21,14 +21,24 @@ differed from the per-row one in the last digits on 12 968 rows for S @ T
 then a per-row dot, 39 913 for ``einsum`` and 17 296 for (S @ T * S).sum(1),
 and the ``decay`` rows must not change by a byte.
 
-``apply_channel`` builds the whole decay matrix from one quadratic form.
-With B the (dim, N) 0/1 bits of the transmitted qubits (in use order) and T
-the Toeplitz matrix of mu, the exponent of coherence (j, l) is
+``apply_channel`` takes one decay factor per weight vector, not per matrix
+entry.  A coherence (j, l) enters only through its weight vector s in
+{-1, 0, 1}^N (in use order), numbered idx(s) = sum_k 3^k (s_k + 1).  Its
+exponent is the lag-count form
 
-    E_jl = s^T T s = q_j + q_l - 2 M_jl,   M = B T B^T,   q = diag(M),
+    E(s) = sum_m c_m(s) mu_m,   c_0 = sum_k s_k^2,   c_m = 2 sum_k s_k s_{k+m},
 
-so the cost is one (dim, N) x (N, dim) product, and E_jj = 0 exactly on
-the populations.
+whose counts c_m are exact integers, |c_m| <= 2 (N - m), kept as int8 per N
+for the first (3^N + 1) / 2 vectors (``_lag_counts``).  E is summed
+elementwise, m = 0, 1, ..., N - 1 in that order, so its bits depend on no
+BLAS kernel or thread count.  Since c(-s) = c(s) and idx(-s) = 3^N - 1 -
+idx(s), the other half of the table mirrors the first: ``np.power`` gives
+D^(s) = g ** E^(s) once per pair {s, -s}, so D^(s) = D^(-s) bit for bit,
+and D^(0) = 1 exactly.  With u_j = sum_k 3^k b_jk, b_jk the bit of basis
+state j at the qubit of use k, coherence (j, l) has weight index
+u_l - u_j + (3^N - 1) / 2.  The output rho o D^ is filled in row blocks of
+about GATHER_ENTRIES entries, each gathering D^ at those indices, into one
+output array: no (dim, dim) float array is formed.
 
 Validated density matrices must be finite, Hermitian, of unit trace and
 positive semidefinite down to EIGENVALUE_FLOOR.  A state is validated where
@@ -58,7 +68,7 @@ and T positive semidefinite,
     D_jl = exp(-c (b_l - b_j)^T T (b_l - b_j)) = E[exp(i (b_l - b_j) . psi)]
 
 is the characteristic function of a Gaussian psi ~ N(0, 2cT), so D is the
-Gram matrix E[u u^H] of u_j = exp(-i b_j . psi).  By the Schur product
+Gram matrix E[z z^H] of z_j = exp(-i b_j . psi).  By the Schur product
 theorem, with lambda = min(lambda_min(rho), 0), (rho - lambda I) o D is PSD,
 and since D_jj = 1, rho o D >= lambda I.  Two bounds carry this over to the
 computed output (u = eps/2 is the unit roundoff; rho and the output are
@@ -69,35 +79,42 @@ their lower triangles):
   ||dT||_2 <= p(N) u ||T||_2, p a modest function of N, and ||T||_2 <= N
   since |mu| <= 1.  So ``cov.min_eigenvalue`` > N^2 eps (p(N) = 2N) gives
   lambda_min(T) > 0 by Weyl's inequality.
-* Rounding cannot cross the floor.  Let A = B |T| B^T (M itself when every
-  mu >= 0, else one more product) and W_jl = A_jj + A_ll + 2 A_jl.  The two
-  N-term products, the sum and the difference give |E^_jl - E_jl| <=
-  gamma W_jl, gamma = 2 (N + 3) eps: twice gamma_{2N+3} / (1 - gamma_{2N}),
-  the divisor because A is itself computed.  With x_jl = c gamma W_jl <=
-  4 c gamma N^2 <= 1 (checked), exp(x) - 1 <= 2x, and ``np.power`` within
-  one ulp, or within tau = 2^-1022 where it underflows,
+* Rounding cannot cross the floor.  E^(s) is an inner product of N terms,
+  so |E^(s) - E(s)| <= gamma_N W(s), with W(s) = sum_m |c_m(s) mu_m| <= N^2
+  and gamma_N = N u / (1 - N u) (Higham, *Accuracy and Stability of
+  Numerical Algorithms*, 2nd ed., sec. 3.1).  Let x(s) = c gamma_N W(s) <=
+  x_max = c gamma_N N^2 <= 1/2 (checked) and P = g ** E^(s) exactly.  Then
+  D = P exp(c (E^ - E)) gives |P - D| <= (e^x - 1) P <= (x + x^2) P;
+  ``np.power`` lies within one ulp of P, or within tau = 2^-1022 where it
+  underflows, so |D^ - P| <= 2u P + tau; and P <= (D^ + tau) / (1 - 2u).
+  Together, for x <= 1/2,
 
-      |D^_jl - D_jl| <= F_jl = (2 x_jl + 3u) D^_jl + 3 tau.
+      |D^(s) - D(s)| <= F(s) = (2 x(s) + 3u) D^(s) + 3 tau.
 
-  The completed error X of D^ has |X| <= F + F^T entrywise and a zero
-  diagonal (D^_jj = D_jj = 1), so rho o X = (rho - lambda I) o X.  A PSD
-  matrix has |entry_jl| <= sqrt(entry_jj entry_ll); with v_j =
-  sqrt(rho_jj - EIGENVALUE_FLOOR) (rho validated down to the floor),
+  The error X = D^ - D is symmetric, as D^ and D both are, so the
+  completed output is the completed rho times D^.  |X_jl| <= F(s_jl), and
+  X has a zero diagonal, so rho o X = (rho - lambda I) o X.  A PSD matrix
+  has |entry_jl| <= sqrt(entry_jj entry_ll); with v_j = sqrt(rho_jj -
+  EIGENVALUE_FLOOR) (rho validated down to the floor), |rho o X| lies
+  entrywise below the symmetric matrix v_j F(s_jl) v_l, whose norm is at
+  most its largest row sum:
 
-      ||rho o X||_2 <= ||diag(v) (F + F^T) diag(v)||_2
-                    <= max_j v_j sum_l (F + F^T)_jl v_l.
+      ||rho o X||_2 <= max_j v_j sum_l F(s_jl) v_l.
 
   The rounding of the product rho_jl D^_jl, at most u |rho_jl| D^_jl with
-  D^ <= e, adds at most 2 eps S in norm, S = sum_j v_j^2 <= 1 + TRACE_ATOL
+  D^ <= 2, adds at most 2 eps S in norm, S = sum_j v_j^2 <= 1 + TRACE_ATOL
   + dim |EIGENVALUE_FLOOR|.  Hence
 
       lambda_min(out) >= lambda - epsilon,
-      epsilon = max_j v_j sum_l (F + F^T)_jl v_l + 2 eps S,
+      epsilon = max_j v_j sum_l F(s_jl) v_l + 2 eps S,
 
-  which ``_rounding_bound`` evaluates in floating point, to a relative
-  accuracy near dim u.  It first tries the scalar bound 2 f sqrt(dim) S +
-  2 eps S, with f >= F_jl from x_jl <= 4 c gamma N^2 and sum_l v_l <=
-  sqrt(dim S); that settles small registers without touching an array.
+  which ``_decayed`` evaluates in floating point, to a relative accuracy
+  near dim u.  It first tries the scalar bound f sqrt(dim) S + 2 eps S,
+  with f = (2 x_max + 3u) e^x_max (1 + eps) + 5 tau >= F(s) (D^ <=
+  e^x_max (1 + 2u) + tau) and sum_l v_l <= sqrt(dim S).  That settles
+  small registers without touching an array: ten uses on ten qubits pass
+  for every g above about 1e-3.  Otherwise it forms the table F over the
+  weight vectors and its row sums in the output's row blocks.
 
   The output is accepted without factoring when epsilon <
   |EIGENVALUE_FLOOR| / 2.  A PSD input (every state the package builds, to
@@ -142,10 +159,13 @@ __all__ = [
 
 HERMITICITY_ATOL = 1e-12
 HERMITICITY_BLOCK = 64
+GATHER_ENTRIES = 1 << 14
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# 3^k for every use k of a register whose weight indices int64 holds
+_POWERS_OF_3 = 3 ** np.arange(40)
 
 
 def _basis_bits(indices, n_qubits: int, positions) -> np.ndarray:
@@ -399,50 +419,102 @@ def decay_factor(label: CoherenceLabel, cov: PhaseCovariance) -> float:
     return next(_decay_factors_and_exponents([(label.j, label.l)], cov))[0]
 
 
-def _decay_matrix(bits: np.ndarray, cov: PhaseCovariance) -> tuple[np.ndarray, np.ndarray]:
-    """(D, 2M): D_jl = g ** (q_j + q_l - 2 M_jl) with M = B T B^T and q = diag(M)."""
-    m = (bits @ cov.mu_matrix) @ bits.T
-    q = np.diag(m)  # a view of m: read before m is scaled in place
-    exponents = q[:, None] + q[None, :]
-    m *= 2.0
-    exponents -= m
-    return np.power(cov.g, exponents, out=exponents), m
+@functools.cache
+def _lag_counts(n: int) -> np.ndarray:
+    """Lag counts of the first (3^n + 1) / 2 weight vectors, an (n, (3^n + 1) / 2) int8 array.
 
-
-def _rounding_bound(
-    rho: DensityMatrix, cov: PhaseCovariance, bits: np.ndarray, m2: np.ndarray, d: np.ndarray
-) -> float:
-    """Bound epsilon (module docstring) on how far rounding lowers lambda_min(rho o D).
-
-    ``m2`` is 2 B T B^T and ``d`` the decay matrix, as ``_decay_matrix``
-    returns them; ``m2`` may be overwritten.  Infinite where the bound does
-    not apply (4 c gamma N^2 > 1).  The scalar bound comes first; the
-    weighted row sums are formed only when it exceeds |EIGENVALUE_FLOOR| / 2.
+    Column i is the vector s_k = (i // 3^k) % 3 - 1.  Row 0 holds c_0 =
+    sum_k s_k^2 and row m holds c_m = 2 sum_k s_k s_{k+m}: exact integers,
+    of magnitude at most 2 (n - m), which int8 holds up to 64 uses.  Built
+    once per n and kept read-only.
     """
-    n, dim = cov.n_uses, d.shape[0]
-    gamma = 2.0 * (n + 3) * _EPS
+    # the kept table is allocated before its temporaries, so that it does
+    # not pin the heap above them once they are freed
+    counts = np.empty((n, (3**n + 1) // 2), dtype=np.int8)
+    index = np.arange(counts.shape[1])
+    s = np.array([index // 3**k % 3 - 1 for k in range(n)], dtype=np.int8)
+    counts[0] = (s * s).sum(0)
+    for m in range(1, n):
+        counts[m] = 2 * (s[:-m] * s[m:]).sum(0)
+    counts.flags.writeable = False
+    return counts
+
+
+def _exponents(cov: PhaseCovariance) -> np.ndarray:
+    """E^(s) = sum_m c_m(s) mu_m of the first (3^N + 1) / 2 weight vectors.
+
+    Summed elementwise, m = 0, 1, ..., N - 1 in that order.
+    """
+    counts = _lag_counts(cov.n_uses)
+    exponents = counts[0].astype(float)  # mu_0 = 1
+    for m in range(1, cov.n_uses):
+        exponents += counts[m] * cov.mu[m]
+    return exponents
+
+
+def _mirrored(half: np.ndarray) -> np.ndarray:
+    """A table over all 3^N weight vectors from its first half: entry 3^N - 1 - i (-s) is entry i (s)."""
+    return np.concatenate((half, half[-2::-1]))
+
+
+def _error_table(cov: PhaseCovariance, rate_gamma: float, decay_half: np.ndarray) -> np.ndarray:
+    """F(s) = (2 x(s) + 3u) D^(s) + 3 tau over all weight vectors, x(s) = c gamma_N W(s).
+
+    ``rate_gamma`` is c gamma_N and ``decay_half`` the first half of D^;
+    W(s) = sum_m |c_m(s) mu_m| (module docstring).
+    """
+    counts = _lag_counts(cov.n_uses)
+    w = counts[0] + np.abs(cov.mu[1:]) @ np.abs(counts[1:])  # c_0 >= 0 and mu_0 = 1
+    return _mirrored((2.0 * rate_gamma * w + 1.5 * _EPS) * decay_half + 3.0 * _TINY)
+
+
+def _decayed(rho: DensityMatrix, cov: PhaseCovariance, which) -> tuple[np.ndarray, float]:
+    """(rho o D^, epsilon) for the checked positions ``which``, in use order.
+
+    epsilon bounds how far rounding lowers the output's smallest eigenvalue
+    (module docstring).  It is infinite where the proof does not apply: T
+    not positive definite beyond the backward error N^2 eps of ``eigvalsh``,
+    or x_max > 1/2.  The scalar bound comes first; the weighted row sums,
+    from the table F, are formed in the output's row blocks only when the
+    scalar bound is not below |EIGENVALUE_FLOOR| / 2.
+    """
+    n, dim = cov.n_uses, rho.dim
+    exponents = _exponents(cov)
+    decay_half = np.power(cov.g, exponents, out=exponents)
+    decay = _mirrored(decay_half)
+
+    gamma = n * 0.5 * _EPS / (1.0 - n * 0.5 * _EPS)
     rate = -math.log(cov.g) if cov.g > 0.0 else math.inf
-    x_max = rate * gamma * 4.0 * n * n
-    if not x_max <= 1.0:
-        return math.inf
-    # every F_jl is at most f_max, and sum_l v_l <= sqrt(dim sum_l v_l^2)
-    f_max = (2.0 * x_max + 1.5 * _EPS) * math.exp(x_max) * (1.0 + _EPS) + 3.0 * _TINY
+    x_max = rate * gamma * n * n
     v_sq_sum = 1.0 + TRACE_ATOL - dim * EIGENVALUE_FLOOR
     product = 2.0 * _EPS * v_sq_sum
-    scalar = 2.0 * f_max * math.sqrt(dim) * v_sq_sum + product
-    if scalar < 0.5 * abs(EIGENVALUE_FLOOR):
-        return scalar
-    a2 = m2 if cov.mu.min() >= 0.0 else 2.0 * ((bits @ np.abs(cov.mu_matrix)) @ bits.T)
-    # F = (2 rate gamma W + 3u) o D + 3 tau with W_jl = h_j + h_l + 2 A_jl and
-    # h = diag(A); the sums over l of (F + F^T)_jl v_l, without forming W or F
-    h = 0.5 * np.diag(a2)
-    wd = np.multiply(a2, d, out=a2)
-    v = np.sqrt(np.diag(rho.matrix).real - EIGENVALUE_FLOOR)
-    hv = h * v
-    dv, vd = d @ v, v @ d
-    w_sums = h * (dv + vd) + d @ hv + hv @ d + wd @ v + v @ wd
-    sums = 2.0 * rate * gamma * w_sums + 1.5 * _EPS * (dv + vd) + 6.0 * _TINY * v.sum()
-    return float((v * sums).max()) + product
+    errors = None
+    if not (cov.min_eigenvalue > n * n * _EPS and x_max <= 0.5):
+        epsilon = math.inf
+    else:
+        f_max = (2.0 * x_max + 1.5 * _EPS) * math.exp(x_max) * (1.0 + _EPS) + 5.0 * _TINY
+        epsilon = f_max * math.sqrt(dim) * v_sq_sum + product
+        if not epsilon < 0.5 * abs(EIGENVALUE_FLOOR):
+            errors = _error_table(cov, rate * gamma, decay_half)
+            v = np.sqrt(np.diag(rho.matrix).real - EIGENVALUE_FLOOR)
+            sums = np.empty(dim)
+
+    # coherence (j, l) has weight index u_l - u_j + (3^N - 1) / 2
+    u = _basis_bits(np.arange(dim), rho.n_qubits, which).dot(_POWERS_OF_3[:n])
+    shifted = u + (3**n - 1) // 2
+    rows = max(1, GATHER_ENTRIES // dim)
+    if errors is None and rows >= dim:
+        # one block: the product itself is the output, with no slicing
+        return rho.matrix * decay[shifted - u[:, None]], epsilon
+    out = np.empty_like(rho.matrix)
+    for r in range(0, dim, rows):
+        index = shifted - u[r : r + rows, None]
+        np.multiply(rho.matrix[r : r + rows], decay[index], out=out[r : r + rows])
+        if errors is not None:
+            sums[r : r + rows] = errors[index] @ v
+    if errors is not None:
+        epsilon = float((v * sums).max()) + product
+    return out, epsilon
 
 
 def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMatrix:
@@ -451,39 +523,29 @@ def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMat
     ``which`` lists register positions in transmission order; its k-th entry
     is the qubit occupying channel use k, so lags between uses follow the
     ordering given here.  Spectator qubits are untouched.  Every coherence
-    is scaled by g ** E_jl, with the exponents of all pairs taken from the
-    quadratic form q_j + q_l - 2 (B T B^T)_jl (see the module docstring).
+    is scaled by D^(s) = g ** E(s) of its weight vector s, from one table
+    over the 3^N weight vectors (see the module docstring).
 
     In exact arithmetic the decay matrix is a Gram matrix when T is PSD, so
     by the Schur product theorem the output is positive whenever rho is.
     The output is checked for finiteness, Hermiticity and trace.  Its
     positivity is taken as proven when ``cov.min_eigenvalue`` exceeds the
     backward-error margin N^2 eps of ``eigvalsh`` and a bound on how far
-    the rounding of D can move the output's eigenvalues (weighted rows of
-    the entrywise error, see the module docstring) lies below
-    |EIGENVALUE_FLOOR| / 2.  Otherwise (a covariance accepted within
-    PSD_TOLERANCE, a singular T, a loose bound) the output is factored like
-    any other.  The proof assumes rho is a density matrix: for a state
-    built with ``validate=False`` the caller vouches for that.
+    the rounding of D can move the output's eigenvalues (per weight vector,
+    see the module docstring) lies below |EIGENVALUE_FLOOR| / 2.  Otherwise
+    (a covariance accepted within PSD_TOLERANCE, a singular T, a loose
+    bound) the output is factored like any other.  The proof assumes rho is
+    a density matrix: for a state built with ``validate=False`` the caller
+    vouches for that.
     """
     which = tuple(which)
-    n = rho.n_qubits
     if len(which) != cov.n_uses:
         raise DimensionMismatch(
             f"{len(which)} transmitted qubits but covariance has {cov.n_uses} uses"
         )
-    which = _check_positions(which, n)
-    bits = _basis_bits(np.arange(rho.dim), n, which).astype(float)  # (dim, N)
+    which = _check_positions(which, rho.n_qubits)
     # an infinite or NaN entry is reported by the output validation, not
     # as a numpy warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d, m2 = _decay_matrix(bits, cov)
-        out = rho.matrix * d
-        # T is PSD beyond the backward error of eigvalsh, and rounding in D
-        # cannot carry the output's smallest eigenvalue across the floor
-        positive = (
-            cov.min_eigenvalue > cov.n_uses**2 * _EPS
-            and _rounding_bound(rho, cov, bits, m2, d) < 0.5 * abs(EIGENVALUE_FLOOR)
-        )
-    del d, m2  # freed before a factorization allocates its two copies
-    return DensityMatrix(_Handover(out, positive))
+        out, epsilon = _decayed(rho, cov, which)
+    return DensityMatrix(_Handover(out, epsilon < 0.5 * abs(EIGENVALUE_FLOOR)))

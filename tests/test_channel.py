@@ -18,16 +18,19 @@ from memphase.channel import (
     CoherenceLabel,
     DensityMatrix,
     _basis_bits,
-    _decay_matrix,
+    _decayed,
+    _exponents,
     _hermiticity_defect,
+    _lag_counts,
+    _mirrored,
     _position,
     _register_size,
-    _rounding_bound,
     apply_channel,
     decay_exponent,
     decay_factor,
 )
 import memphase
+from memphase import channel
 from memphase.correlation import ChannelParams, PhaseCovariance
 from memphase.errors import (
     DimensionMismatch,
@@ -477,15 +480,18 @@ def random_state_vector(seed, dim):
 
 
 def reference_output(rho, cov, which):
-    """rho o D with D formed as the channel always has: g ** (q_j + q_l - 2 M_jl)."""
+    """rho o D, D_jl = g ** E(s) with s = b_l - b_j, formed entry by entry for every pair.
+
+    E = sum_m c_m mu_m is summed in the channel's order, m = 0, 1, ..., from
+    integer lag counts c_0 = sum_k s_k^2 and c_m = 2 sum_k s_k s_{k+m}; no
+    table over weight vectors, no mirroring, one power per entry.
+    """
     n = rho.n_qubits
-    shifts = np.array([n - 1 - p for p in which])
-    b = ((np.arange(rho.dim)[:, None] >> shifts) & 1).astype(float)
-    m = (b @ cov.mu_matrix) @ b.T
-    q = np.diag(m)
-    exponents = q[:, None] + q[None, :]
-    m *= 2.0
-    exponents -= m
+    bits = [(np.arange(rho.dim) >> (n - 1 - p)) & 1 for p in which]
+    s = [(b[None, :] - b[:, None]).astype(np.int8) for b in bits]
+    exponents = sum(sk * sk for sk in s).astype(float)
+    for m in range(1, len(s)):
+        exponents += 2 * sum(s[k] * s[k + m] for k in range(len(s) - m)) * cov.mu[m]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return rho.matrix * np.power(cov.g, exponents, out=exponents)
 
@@ -577,25 +583,64 @@ class TestPositivityCertificate:
     def test_factors_a_ten_qubit_output_only_when_t_does_not_prove_it(
         self, monkeypatch, mu, factorizations
     ):
+        # where T proves positivity at N = 10, g = 0.3, the scalar bound
+        # alone settles the rounding: no weighted rows, no factorization
         rho = DensityMatrix.from_state_vector(random_state_vector(11, 1024))
         cov = PhaseCovariance.from_damping(0.3, mu)
         which = range(len(mu))
         calls = self.count_factorizations(monkeypatch)
+        error_tables = self.count_error_tables(monkeypatch)
         out = apply_channel(rho, cov, which)
         assert calls == [(1024, 1024)] * factorizations
+        assert error_tables == []
         assert np.array_equal(out.matrix, reference_output(rho, cov, which))
+
+    @staticmethod
+    def count_error_tables(monkeypatch):
+        calls = []
+        original = channel._error_table
+
+        def counting(*args):
+            calls.append(args[0].n_uses)
+            return original(*args)
+
+        monkeypatch.setattr(channel, "_error_table", counting)
+        return calls
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double"
     )
-    def test_rounding_bound_covers_the_rounding_of_d(self, rng):
-        # |D^ - D| against D in extended precision, as the lower triangle's
-        # Hermitian completion that the factorization would read, weighted
-        # by v_j = sqrt(rho_jj + |floor|) as the bound on ||rho o (D^ - D)||
+    def test_each_exponent_is_within_its_rounding_bound(self, rng):
+        # |E^(s) - E(s)| <= gamma_N W(s) for every weight vector, against the
+        # lag-count sum in extended precision (each c_m mu_m exact there)
+        worst = 0.0
+        for _ in range(300):
+            n = int(rng.integers(1, 10))
+            weights, rates = rng.dirichlet(np.ones(3)), rng.uniform(-1.0, 1.0, 3)
+            cov = PhaseCovariance(eta_sq=1.0, mu=[float(weights @ rates**m) for m in range(n)])
+            products = _lag_counts(n).astype(np.longdouble) * cov.mu.astype(np.longdouble)[:, None]
+            exact, w = products.sum(0), np.abs(products).sum(0)
+            unit = np.longdouble(0.5 * np.finfo(float).eps)
+            gamma = n * unit / (1 - n * unit)
+            err = np.abs(_exponents(cov) - exact)
+            assert np.all(err <= gamma * w)
+            assert _exponents(cov)[-1] == 0.0  # s = 0
+            worst = max(worst, float((err / np.maximum(gamma * w, 1e-300)).max()))
+        assert worst > 0.0  # the sums do round
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double"
+    )
+    def test_rounding_bound_covers_the_rounding_of_d(self, monkeypatch, rng):
+        # D^ gathered from the table is symmetric with a unit diagonal, and
+        # the returned epsilon covers ||rho o (D^ - D)||_2 and the weighted
+        # rows v_j sum_l |D^ - D|_jl v_l that bound it, with D in extended
+        # precision and v_j = sqrt(rho_jj + |floor|)
+        error_tables = self.count_error_tables(monkeypatch)
         for trial in range(60):
             n = int(rng.integers(1, 8))
             k = int(rng.integers(1, n + 1))
-            which = list(rng.permutation(n)[:k])
+            which = tuple(int(p) for p in rng.permutation(n)[:k])
             weights, rates = rng.dirichlet(np.ones(3)), rng.uniform(-1.0, 1.0, 3)
             mu = [1.0] + [float(weights @ rates**m) for m in range(1, k)]
             cov = PhaseCovariance.from_damping(float(10.0 ** rng.uniform(-300.0, 0.0)), mu)
@@ -603,26 +648,30 @@ class TestPositivityCertificate:
                 rho = random_density_matrix(rng, n)
             else:
                 rho = DensityMatrix.from_state_vector(random_state_vector(trial, 1 << n))
-            bits = _basis_bits(np.arange(1 << n), n, which).astype(float)
-            d, m2 = _decay_matrix(bits, cov)
-            bound = _rounding_bound(rho, cov, bits, m2, d)
-            bl, tl = bits.astype(np.longdouble), cov.mu_matrix.astype(np.longdouble)
-            ml = bl @ tl @ bl.T
-            ql = np.diag(ml)
-            exact = np.longdouble(cov.g) ** (ql[:, None] + ql[None, :] - 2 * ml)
-            err = np.abs(d - exact)
-            completion = np.tril(err) + np.tril(err, -1).T
+            out, bound = _decayed(rho, cov, which)
+            assert bound < np.inf
+            u = _basis_bits(np.arange(1 << n), n, which) @ 3 ** np.arange(k)
+            index = u[None, :] - u[:, None] + (3**k - 1) // 2
+            d = _mirrored(np.power(cov.g, _exponents(cov)))[index]
+            assert np.array_equal(d, d.T) and np.all(np.diag(d) == 1.0)
+            assert np.array_equal(out, rho.matrix * d)
+            counts = _lag_counts(k).astype(np.longdouble)
+            exponents = _mirrored((counts * cov.mu.astype(np.longdouble)[:, None]).sum(0))
+            err = (d - np.longdouble(cov.g) ** exponents[index]).astype(float)
             v = np.sqrt(np.diag(rho.matrix).real + 1e-10)
-            assert float((v * (completion @ v)).max()) <= bound < np.inf
+            assert float((v * (np.abs(err) @ v)).max()) <= bound
+            assert np.linalg.norm(rho.matrix * err, 2) <= bound
+        # both the scalar bound and the weighted rows were exercised
+        assert 0 < len(error_tables) < 60
 
     @pytest.mark.parametrize(
-        "mu, outputs", [(0.6 ** np.arange(10), 2.5), (np.ones(10), 3.5)], ids=["proven", "factored"]
+        "mu, outputs", [(0.6 ** np.arange(10), 1.5), (np.ones(10), 3.5)], ids=["proven", "factored"]
     )
     def test_output_is_not_copied(self, mu, outputs):
         # peak traced memory of one ten-qubit call, in units of the 16 MiB
-        # output: the product and two float (dim, dim) arrays when positivity
-        # is proven; the product, its shifted copy and the Cholesky factor
-        # when it is factored; a copy of the product would add one more
+        # output: the output and the validation's row blocks when positivity
+        # is proven; the output, its shifted copy and the Cholesky factor
+        # when it is factored; a copy of the output would add one more
         rho = DensityMatrix.from_state_vector(random_state_vector(12, 1024))
         cov = PhaseCovariance.from_damping(0.3, mu)
         tracemalloc.start()
