@@ -82,39 +82,37 @@ their lower triangles):
 * Rounding cannot cross the floor.  E^(s) is an inner product of N terms,
   so |E^(s) - E(s)| <= gamma_N W(s), with W(s) = sum_m |c_m(s) mu_m| <= N^2
   and gamma_N = N u / (1 - N u) (Higham, *Accuracy and Stability of
-  Numerical Algorithms*, 2nd ed., sec. 3.1).  Let x(s) = c gamma_N W(s) <=
-  x_max = c gamma_N N^2 <= 1/2 (checked) and P = g ** E^(s) exactly.  Then
-  D = P exp(c (E^ - E)) gives |P - D| <= (e^x - 1) P <= (x + x^2) P;
+  Numerical Algorithms*, 2nd ed., sec. 3.1).  So x_max = c gamma_N N^2
+  bounds c |E^(s) - E(s)| for every s; it must be <= 1/2 (checked).  Let P
+  = g ** E^(s) exactly.  Then D = P exp(c (E^ - E)) gives |P - D| <=
+  (e^x_max - 1) P <= (x_max + x_max^2) P, and P <= D e^x_max <= e^x_max;
   ``np.power`` lies within one ulp of P, or within tau = 2^-1022 where it
-  underflows, so |D^ - P| <= 2u P + tau; and P <= (D^ + tau) / (1 - 2u).
-  Together, for x <= 1/2,
+  underflows, so |D^ - P| <= 2u P + tau.  Together, for every s,
 
-      |D^(s) - D(s)| <= F(s) = (2 x(s) + 3u) D^(s) + 3 tau.
+      |D^(s) - D(s)| <= f = (2 x_max + 3u) e^x_max (1 + eps) + 5 tau,
+
+  where f exceeds (x_max + x_max^2 + 2u) e^x_max + tau by at least
+  (x_max / 2 + u) e^x_max, far more than the rounding of its own
+  evaluation.
 
   The error X = D^ - D is symmetric, as D^ and D both are, so the
-  completed output is the completed rho times D^.  |X_jl| <= F(s_jl), and
-  X has a zero diagonal, so rho o X = (rho - lambda I) o X.  A PSD matrix
-  has |entry_jl| <= sqrt(entry_jj entry_ll); with v_j = sqrt(rho_jj -
-  EIGENVALUE_FLOOR) (rho validated down to the floor), |rho o X| lies
-  entrywise below the symmetric matrix v_j F(s_jl) v_l, whose norm is at
-  most its largest row sum:
+  completed output is the completed rho times D^.  X has a zero diagonal,
+  so rho o X = (rho - lambda I) o X.  A PSD matrix has |entry_jl| <=
+  sqrt(entry_jj entry_ll); with v_j = sqrt(rho_jj - EIGENVALUE_FLOOR) (rho
+  validated down to the floor), |(rho o X)_jl| <= f v_j v_l.  With S =
+  sum_j v_j^2 <= 1 + TRACE_ATOL + dim |EIGENVALUE_FLOOR|, v_j <= sqrt(S)
+  and sum_l v_l <= sqrt(dim S), so for the Hermitian rho o X
 
-      ||rho o X||_2 <= max_j v_j sum_l F(s_jl) v_l.
+      ||rho o X||_2 <= ||rho o X||_inf <= f max_j v_j sum_l v_l <= f sqrt(dim) S.
 
   The rounding of the product rho_jl D^_jl, at most u |rho_jl| D^_jl with
-  D^ <= 2, adds at most 2 eps S in norm, S = sum_j v_j^2 <= 1 + TRACE_ATOL
-  + dim |EIGENVALUE_FLOOR|.  Hence
+  D^ <= 2, adds at most 2 eps S in norm.  Hence
 
-      lambda_min(out) >= lambda - epsilon,
-      epsilon = max_j v_j sum_l F(s_jl) v_l + 2 eps S,
+      lambda_min(out) >= lambda - epsilon,   epsilon = f sqrt(dim) S + 2 eps S,
 
-  which ``_decayed`` evaluates in floating point, to a relative accuracy
-  near dim u.  It first tries the scalar bound f sqrt(dim) S + 2 eps S,
-  with f = (2 x_max + 3u) e^x_max (1 + eps) + 5 tau >= F(s) (D^ <=
-  e^x_max (1 + 2u) + tau) and sum_l v_l <= sqrt(dim S).  That settles
-  small registers without touching an array: ten uses on ten qubits pass
-  for every g above about 1e-3.  Otherwise it forms the table F over the
-  weight vectors and its row sums in the output's row blocks.
+  which ``_decayed`` evaluates without touching an array.  Ten uses on ten
+  qubits pass for every g above about 1e-3; below that, at almost total
+  dephasing per use, the output is factored.
 
   The output is accepted without factoring when epsilon <
   |EIGENVALUE_FLOOR| / 2.  A PSD input (every state the package builds, to
@@ -457,63 +455,48 @@ def _mirrored(half: np.ndarray) -> np.ndarray:
     return np.concatenate((half, half[-2::-1]))
 
 
-def _error_table(cov: PhaseCovariance, rate_gamma: float, decay_half: np.ndarray) -> np.ndarray:
-    """F(s) = (2 x(s) + 3u) D^(s) + 3 tau over all weight vectors, x(s) = c gamma_N W(s).
+def _decay_error_bound(cov: PhaseCovariance) -> float:
+    """f >= |D^(s) - D(s)| for every weight vector s, or infinity where x_max > 1/2.
 
-    ``rate_gamma`` is c gamma_N and ``decay_half`` the first half of D^;
-    W(s) = sum_m |c_m(s) mu_m| (module docstring).
+    x_max = c gamma_N N^2 with c = -ln g (module docstring).
     """
-    counts = _lag_counts(cov.n_uses)
-    w = counts[0] + np.abs(cov.mu[1:]) @ np.abs(counts[1:])  # c_0 >= 0 and mu_0 = 1
-    return _mirrored((2.0 * rate_gamma * w + 1.5 * _EPS) * decay_half + 3.0 * _TINY)
+    n = cov.n_uses
+    gamma = n * 0.5 * _EPS / (1.0 - n * 0.5 * _EPS)
+    rate = -math.log(cov.g) if cov.g > 0.0 else math.inf
+    x_max = rate * gamma * n * n
+    if not x_max <= 0.5:
+        return math.inf
+    return (2.0 * x_max + 1.5 * _EPS) * math.exp(x_max) * (1.0 + _EPS) + 5.0 * _TINY
 
 
 def _decayed(rho: DensityMatrix, cov: PhaseCovariance, which) -> tuple[np.ndarray, float]:
     """(rho o D^, epsilon) for the checked positions ``which``, in use order.
 
-    epsilon bounds how far rounding lowers the output's smallest eigenvalue
-    (module docstring).  It is infinite where the proof does not apply: T
-    not positive definite beyond the backward error N^2 eps of ``eigvalsh``,
-    or x_max > 1/2.  The scalar bound comes first; the weighted row sums,
-    from the table F, are formed in the output's row blocks only when the
-    scalar bound is not below |EIGENVALUE_FLOOR| / 2.
+    epsilon = f sqrt(dim) S + 2 eps S, f from ``_decay_error_bound``, bounds
+    how far rounding lowers the output's smallest eigenvalue (module
+    docstring).  It is infinite where the proof does not apply: T not
+    positive definite beyond the backward error N^2 eps of ``eigvalsh``, or
+    x_max > 1/2.
     """
     n, dim = cov.n_uses, rho.dim
     exponents = _exponents(cov)
-    decay_half = np.power(cov.g, exponents, out=exponents)
-    decay = _mirrored(decay_half)
-
-    gamma = n * 0.5 * _EPS / (1.0 - n * 0.5 * _EPS)
-    rate = -math.log(cov.g) if cov.g > 0.0 else math.inf
-    x_max = rate * gamma * n * n
+    decay = _mirrored(np.power(cov.g, exponents, out=exponents))
     v_sq_sum = 1.0 + TRACE_ATOL - dim * EIGENVALUE_FLOOR
-    product = 2.0 * _EPS * v_sq_sum
-    errors = None
-    if not (cov.min_eigenvalue > n * n * _EPS and x_max <= 0.5):
+    epsilon = _decay_error_bound(cov) * math.sqrt(dim) * v_sq_sum + 2.0 * _EPS * v_sq_sum
+    if not cov.min_eigenvalue > n * n * _EPS:
         epsilon = math.inf
-    else:
-        f_max = (2.0 * x_max + 1.5 * _EPS) * math.exp(x_max) * (1.0 + _EPS) + 5.0 * _TINY
-        epsilon = f_max * math.sqrt(dim) * v_sq_sum + product
-        if not epsilon < 0.5 * abs(EIGENVALUE_FLOOR):
-            errors = _error_table(cov, rate * gamma, decay_half)
-            v = np.sqrt(np.diag(rho.matrix).real - EIGENVALUE_FLOOR)
-            sums = np.empty(dim)
 
     # coherence (j, l) has weight index u_l - u_j + (3^N - 1) / 2
     u = _basis_bits(np.arange(dim), rho.n_qubits, which).dot(_POWERS_OF_3[:n])
     shifted = u + (3**n - 1) // 2
     rows = max(1, GATHER_ENTRIES // dim)
-    if errors is None and rows >= dim:
+    if rows >= dim:
         # one block: the product itself is the output, with no slicing
         return rho.matrix * decay[shifted - u[:, None]], epsilon
     out = np.empty_like(rho.matrix)
     for r in range(0, dim, rows):
         index = shifted - u[r : r + rows, None]
         np.multiply(rho.matrix[r : r + rows], decay[index], out=out[r : r + rows])
-        if errors is not None:
-            sums[r : r + rows] = errors[index] @ v
-    if errors is not None:
-        epsilon = float((v * sums).max()) + product
     return out, epsilon
 
 
@@ -531,12 +514,13 @@ def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMat
     The output is checked for finiteness, Hermiticity and trace.  Its
     positivity is taken as proven when ``cov.min_eigenvalue`` exceeds the
     backward-error margin N^2 eps of ``eigvalsh`` and a bound on how far
-    the rounding of D can move the output's eigenvalues (per weight vector,
-    see the module docstring) lies below |EIGENVALUE_FLOOR| / 2.  Otherwise
-    (a covariance accepted within PSD_TOLERANCE, a singular T, a loose
-    bound) the output is factored like any other.  The proof assumes rho is
-    a density matrix: for a state built with ``validate=False`` the caller
-    vouches for that.
+    the rounding of D can move the output's eigenvalues (from one bound on
+    the rounding of every D^(s), see the module docstring) lies below
+    |EIGENVALUE_FLOOR| / 2.  Otherwise (a covariance accepted within
+    PSD_TOLERANCE, a singular T, a g so small that the bound fails: at ten
+    uses, g below about 1e-3) the output is factored like any other.  The
+    proof assumes rho is a density matrix: for a state built with
+    ``validate=False`` the caller vouches for that.
     """
     which = tuple(which)
     if len(which) != cov.n_uses:

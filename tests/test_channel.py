@@ -18,6 +18,7 @@ from memphase.channel import (
     CoherenceLabel,
     DensityMatrix,
     _basis_bits,
+    _decay_error_bound,
     _decayed,
     _exponents,
     _hermiticity_defect,
@@ -30,7 +31,6 @@ from memphase.channel import (
     decay_factor,
 )
 import memphase
-from memphase import channel
 from memphase.correlation import ChannelParams, PhaseCovariance
 from memphase.errors import (
     DimensionMismatch,
@@ -572,47 +572,36 @@ class TestPositivityCertificate:
         return calls
 
     @pytest.mark.parametrize(
-        "mu, factorizations",
+        "g, mu, factorizations",
         [
-            (0.6 ** np.arange(10), 0),
-            (np.ones(10), 1),  # singular T: every mu_m = 1
-            ([1.0, 0.5, -0.5 - 1e-11], 1),  # lambda_min(T) ~ -7e-12
+            (0.3, 0.6 ** np.arange(10), 0),
+            (0.3, np.ones(10), 1),  # singular T: every mu_m = 1
+            (0.3, [1.0, 0.5, -0.5 - 1e-11], 1),  # lambda_min(T) ~ -7e-12
+            (1e-6, 0.6 ** np.arange(10), 1),  # epsilon ~ 1e-10 at N = 10
         ],
-        ids=["well-conditioned", "singular", "tolerance-accepted"],
+        ids=["well-conditioned", "singular", "tolerance-accepted", "almost-total-dephasing"],
     )
     def test_factors_a_ten_qubit_output_only_when_t_does_not_prove_it(
-        self, monkeypatch, mu, factorizations
+        self, monkeypatch, g, mu, factorizations
     ):
-        # where T proves positivity at N = 10, g = 0.3, the scalar bound
-        # alone settles the rounding: no weighted rows, no factorization
+        # T proves positivity at N = 10 only where the rounding bound is
+        # below half the floor: at g = 0.3, not at almost total dephasing
         rho = DensityMatrix.from_state_vector(random_state_vector(11, 1024))
-        cov = PhaseCovariance.from_damping(0.3, mu)
+        cov = PhaseCovariance.from_damping(g, mu)
         which = range(len(mu))
         calls = self.count_factorizations(monkeypatch)
-        error_tables = self.count_error_tables(monkeypatch)
         out = apply_channel(rho, cov, which)
         assert calls == [(1024, 1024)] * factorizations
-        assert error_tables == []
         assert np.array_equal(out.matrix, reference_output(rho, cov, which))
-
-    @staticmethod
-    def count_error_tables(monkeypatch):
-        calls = []
-        original = channel._error_table
-
-        def counting(*args):
-            calls.append(args[0].n_uses)
-            return original(*args)
-
-        monkeypatch.setattr(channel, "_error_table", counting)
-        return calls
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double"
     )
     def test_each_exponent_is_within_its_rounding_bound(self, rng):
         # |E^(s) - E(s)| <= gamma_N W(s) for every weight vector, against the
-        # lag-count sum in extended precision (each c_m mu_m exact there)
+        # lag-count sum in extended precision (each c_m mu_m exact there);
+        # and so, at a drawn g, |D^(s) - D(s)| <= f, the one constant the
+        # positivity certificate rests on
         worst = 0.0
         for _ in range(300):
             n = int(rng.integers(1, 10))
@@ -626,43 +615,51 @@ class TestPositivityCertificate:
             assert np.all(err <= gamma * w)
             assert _exponents(cov)[-1] == 0.0  # s = 0
             worst = max(worst, float((err / np.maximum(gamma * w, 1e-300)).max()))
+            damped = PhaseCovariance.from_damping(float(10.0 ** rng.uniform(-300.0, 0.0)), cov.mu)
+            exact_decay = np.longdouble(damped.g) ** exact
+            err = np.abs(np.power(damped.g, _exponents(damped)) - exact_decay)
+            assert np.all(err <= _decay_error_bound(damped))
         assert worst > 0.0  # the sums do round
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double"
     )
-    def test_rounding_bound_covers_the_rounding_of_d(self, monkeypatch, rng):
-        # D^ gathered from the table is symmetric with a unit diagonal, and
-        # the returned epsilon covers ||rho o (D^ - D)||_2 and the weighted
-        # rows v_j sum_l |D^ - D|_jl v_l that bound it, with D in extended
+    def test_rounding_bound_covers_the_rounding_of_d(self, rng):
+        # D^ gathered from the table is symmetric with a unit diagonal; a
+        # finite epsilon covers ||rho o (D^ - D)||_2 and the entrywise
+        # majorant's rows v_j sum_l |D^ - D|_jl v_l, with D in extended
         # precision and v_j = sqrt(rho_jj + |floor|)
-        error_tables = self.count_error_tables(monkeypatch)
+        proven = 0
         for trial in range(60):
             n = int(rng.integers(1, 8))
             k = int(rng.integers(1, n + 1))
             which = tuple(int(p) for p in rng.permutation(n)[:k])
             weights, rates = rng.dirichlet(np.ones(3)), rng.uniform(-1.0, 1.0, 3)
             mu = [1.0] + [float(weights @ rates**m) for m in range(1, k)]
+            if trial % 3 == 0:
+                mu = [1.0] * k  # singular T from two uses on
             cov = PhaseCovariance.from_damping(float(10.0 ** rng.uniform(-300.0, 0.0)), mu)
             if trial % 2:
                 rho = random_density_matrix(rng, n)
             else:
                 rho = DensityMatrix.from_state_vector(random_state_vector(trial, 1 << n))
             out, bound = _decayed(rho, cov, which)
-            assert bound < np.inf
             u = _basis_bits(np.arange(1 << n), n, which) @ 3 ** np.arange(k)
             index = u[None, :] - u[:, None] + (3**k - 1) // 2
             d = _mirrored(np.power(cov.g, _exponents(cov)))[index]
             assert np.array_equal(d, d.T) and np.all(np.diag(d) == 1.0)
             assert np.array_equal(out, rho.matrix * d)
+            if bound == np.inf:
+                continue
+            proven += 1
             counts = _lag_counts(k).astype(np.longdouble)
             exponents = _mirrored((counts * cov.mu.astype(np.longdouble)[:, None]).sum(0))
             err = (d - np.longdouble(cov.g) ** exponents[index]).astype(float)
             v = np.sqrt(np.diag(rho.matrix).real + 1e-10)
             assert float((v * (np.abs(err) @ v)).max()) <= bound
             assert np.linalg.norm(rho.matrix * err, 2) <= bound
-        # both the scalar bound and the weighted rows were exercised
-        assert 0 < len(error_tables) < 60
+        # both a finite and an infinite epsilon were exercised
+        assert 0 < proven < 60
 
     @pytest.mark.parametrize(
         "mu, outputs", [(0.6 ** np.arange(10), 1.5), (np.ones(10), 3.5)], ids=["proven", "factored"]
