@@ -8,8 +8,9 @@ The channel is diagonal in the computational basis: each matrix element
 where s_k = l_k - j_k in {-1, 0, +1} is the transmitted-qubit weight of the
 coherence and g the single-use damping.  Populations (s = 0) are untouched.
 With E = s^T T s the exponent and g = exp(-2 eta^2), equivalently D_jl =
-exp(-2 eta^2 E); ``decay_factor`` evaluates the two forms g**E and
-exp(-2 eta^2 E) side by side as an internal consistency check.
+exp(-2 eta^2 E).  ``decay_factor`` returns this exponential form, and
+checks it against g**E, which carries the rounding of g E times: the two
+must agree within 1e-12 + 2 eps (E + 2) D.
 
 ``_decay_factors_and_exponents`` gives the decay factors and exponents of
 many basis pairs, and ``decay_factor`` and ``decay_exponent`` are its
@@ -99,20 +100,22 @@ their lower triangles):
   completed output is the completed rho times D^.  X has a zero diagonal,
   so rho o X = (rho - lambda I) o X.  A PSD matrix has |entry_jl| <=
   sqrt(entry_jj entry_ll); with v_j = sqrt(rho_jj - EIGENVALUE_FLOOR) (rho
-  validated down to the floor), |(rho o X)_jl| <= f v_j v_l.  With S =
-  sum_j v_j^2 <= 1 + TRACE_ATOL + dim |EIGENVALUE_FLOOR|, v_j <= sqrt(S)
-  and sum_l v_l <= sqrt(dim S), so for the Hermitian rho o X
+  validated down to the floor), |(rho o X)_jl| <= f v_j v_l.  That
+  majorant has rank one, so for every unit vector z, by Cauchy-Schwarz,
 
-      ||rho o X||_2 <= ||rho o X||_inf <= f max_j v_j sum_l v_l <= f sqrt(dim) S.
+      |z^H (rho o X) z| <= f (sum_j |z_j| v_j)^2 <= f S,   S = sum_j v_j^2,
 
-  The rounding of the product rho_jl D^_jl, at most u |rho_jl| D^_jl with
-  D^ <= 2, adds at most 2 eps S in norm.  Hence
+  and ||rho o X||_2 <= f S for the Hermitian rho o X, where S <= 1 +
+  TRACE_ATOL + dim |EIGENVALUE_FLOOR|.  The rounding of the product
+  rho_jl D^_jl (exact on the diagonal, where D^ = 1) is at most
+  u |rho_jl| D^_jl <= 2u v_j v_l, as D^ <= 2: the same majorant, so it
+  adds less than 2 eps S in norm.  Hence
 
-      lambda_min(out) >= lambda - epsilon,   epsilon = f sqrt(dim) S + 2 eps S,
+      lambda_min(out) >= lambda - epsilon,   epsilon = (f + 2 eps) S,
 
   which ``_decayed`` evaluates without touching an array.  Ten uses on ten
-  qubits pass for every g above about 1e-3; below that, at almost total
-  dephasing per use, the output is factored.
+  qubits pass for every g above about 1e-98, eight uses for every g above
+  about 1e-191; below that the output is factored.
 
   The output is accepted without factoring when epsilon <
   |EIGENVALUE_FLOOR| / 2.  A PSD input (every state the package builds, to
@@ -160,8 +163,8 @@ HERMITICITY_BLOCK = 64
 GATHER_ENTRIES = 1 << 14
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # 3^k for every use k of a register whose weight indices int64 holds
 _POWERS_OF_3 = 3 ** np.arange(40)
 
@@ -387,18 +390,23 @@ def _decay_factors_and_exponents(
     The weights of all pairs come from one bit read, an (L, N) matrix; each
     row's quadratic form and the cross-check of ``decay_factor`` run as the
     rows are drawn, so an ArithmeticError is raised at the pair whose forms
-    disagree.
+    disagree.  D_jl is exp(-2 eta^2 E), checked against g**E.
     """
     weights = _pair_weights(pairs, cov.n_uses).astype(float)
     mu_matrix, eta_sq, g = cov.mu_matrix, cov.eta_sq, cov.g
     for s in weights:
         exponent = float(s @ mu_matrix @ s)
-        d_power = g**exponent
         # eta^2 E first: E = 0 gives exactly 1 even where -2 eta^2 overflows
-        d_exp = math.exp(-2.0 * (eta_sq * exponent))
-        if not abs(d_power - d_exp) <= 1e-12:
-            raise ArithmeticError(f"decay-factor forms disagree: {d_power!r} vs {d_exp!r}")
-        yield d_power, exponent
+        d = math.exp(-2.0 * (eta_sq * exponent))
+        # g**E carries the rounding of g = exp(-2 eta^2) E times
+        bound = 1e-12 + 2.0 * _EPS * (exponent + 2.0) * d
+        d_power = g**exponent
+        if not abs(d_power - d) <= bound:
+            raise ArithmeticError(
+                f"decay-factor forms disagree: g**E = {d_power!r} vs exp(-2 eta^2 E) = "
+                f"{d!r} at E = {exponent!r}, beyond {bound!r}"
+            )
+        yield d, exponent
 
 
 def decay_exponent(label: CoherenceLabel, cov: PhaseCovariance) -> float:
@@ -410,8 +418,9 @@ def decay_exponent(label: CoherenceLabel, cov: PhaseCovariance) -> float:
 def decay_factor(label: CoherenceLabel, cov: PhaseCovariance) -> float:
     """Coherence decay factor D_jl in (0, 1] for one transmission round.
 
-    Evaluates the damping-power form g**E with E = ``decay_exponent`` and
-    cross-checks it against the exponential form exp(-2 eta^2 E).
+    Evaluates the exponential form exp(-2 eta^2 E) with E =
+    ``decay_exponent`` and cross-checks it against the damping-power form
+    g**E, within 1e-12 + 2 eps (E + 2) D (module docstring).
     """
     _check_size(label, cov)
     return next(_decay_factors_and_exponents([(label.j, label.l)], cov))[0]
@@ -472,17 +481,16 @@ def _decay_error_bound(cov: PhaseCovariance) -> float:
 def _decayed(rho: DensityMatrix, cov: PhaseCovariance, which) -> tuple[np.ndarray, float]:
     """(rho o D^, epsilon) for the checked positions ``which``, in use order.
 
-    epsilon = f sqrt(dim) S + 2 eps S, f from ``_decay_error_bound``, bounds
-    how far rounding lowers the output's smallest eigenvalue (module
-    docstring).  It is infinite where the proof does not apply: T not
-    positive definite beyond the backward error N^2 eps of ``eigvalsh``, or
-    x_max > 1/2.
+    epsilon = (f + 2 eps) S, f from ``_decay_error_bound``, bounds how far
+    rounding lowers the output's smallest eigenvalue (module docstring).
+    It is infinite where the proof does not apply: T not positive definite
+    beyond the backward error N^2 eps of ``eigvalsh``, or x_max > 1/2.
     """
     n, dim = cov.n_uses, rho.dim
     exponents = _exponents(cov)
     decay = _mirrored(np.power(cov.g, exponents, out=exponents))
     v_sq_sum = 1.0 + TRACE_ATOL - dim * EIGENVALUE_FLOOR
-    epsilon = _decay_error_bound(cov) * math.sqrt(dim) * v_sq_sum + 2.0 * _EPS * v_sq_sum
+    epsilon = (_decay_error_bound(cov) + 2.0 * _EPS) * v_sq_sum
     if not cov.min_eigenvalue > n * n * _EPS:
         epsilon = math.inf
 
@@ -514,13 +522,13 @@ def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMat
     The output is checked for finiteness, Hermiticity and trace.  Its
     positivity is taken as proven when ``cov.min_eigenvalue`` exceeds the
     backward-error margin N^2 eps of ``eigvalsh`` and a bound on how far
-    the rounding of D can move the output's eigenvalues (from one bound on
-    the rounding of every D^(s), see the module docstring) lies below
-    |EIGENVALUE_FLOOR| / 2.  Otherwise (a covariance accepted within
-    PSD_TOLERANCE, a singular T, a g so small that the bound fails: at ten
-    uses, g below about 1e-3) the output is factored like any other.  The
-    proof assumes rho is a density matrix: for a state built with
-    ``validate=False`` the caller vouches for that.
+    the rounding of D can move the output's eigenvalues (one rank-one
+    bound, from one bound on the rounding of every D^(s), see the module
+    docstring) lies below |EIGENVALUE_FLOOR| / 2.  Otherwise (a covariance
+    accepted within PSD_TOLERANCE, a singular T, a g so small that the
+    bound fails: at ten uses, g below about 1e-98) the output is factored
+    like any other.  The proof assumes rho is a density matrix: for a
+    state built with ``validate=False`` the caller vouches for that.
     """
     which = tuple(which)
     if len(which) != cov.n_uses:

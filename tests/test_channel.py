@@ -1,10 +1,12 @@
 """Coherence labels, decay factors, and the dephasing map itself."""
 
+import math
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -577,15 +579,20 @@ class TestPositivityCertificate:
             (0.3, 0.6 ** np.arange(10), 0),
             (0.3, np.ones(10), 1),  # singular T: every mu_m = 1
             (0.3, [1.0, 0.5, -0.5 - 1e-11], 1),  # lambda_min(T) ~ -7e-12
-            (1e-6, 0.6 ** np.arange(10), 1),  # epsilon ~ 1e-10 at N = 10
+            (1e-6, 0.6 ** np.arange(10), 0),  # epsilon ~ 3e-12 at N = 10
+            (1e-50, 0.6 ** np.arange(10), 0),  # subnormal entries, epsilon ~ 2.6e-11
+            (1e-120, 0.6 ** np.arange(10), 1),  # epsilon ~ 6e-11, above half the floor
         ],
-        ids=["well-conditioned", "singular", "tolerance-accepted", "almost-total-dephasing"],
+        ids=[
+            "well-conditioned", "singular", "tolerance-accepted", "almost-total-dephasing",
+            "subnormal-entries", "below-the-bound",
+        ],
     )
     def test_factors_a_ten_qubit_output_only_when_t_does_not_prove_it(
         self, monkeypatch, g, mu, factorizations
     ):
-        # T proves positivity at N = 10 only where the rounding bound is
-        # below half the floor: at g = 0.3, not at almost total dephasing
+        # T proves positivity at N = 10 where the rounding bound is below
+        # half the floor: for every g above about 1e-98
         rho = DensityMatrix.from_state_vector(random_state_vector(11, 1024))
         cov = PhaseCovariance.from_damping(g, mu)
         which = range(len(mu))
@@ -625,10 +632,10 @@ class TestPositivityCertificate:
         np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double"
     )
     def test_rounding_bound_covers_the_rounding_of_d(self, rng):
-        # D^ gathered from the table is symmetric with a unit diagonal; a
-        # finite epsilon covers ||rho o (D^ - D)||_2 and the entrywise
-        # majorant's rows v_j sum_l |D^ - D|_jl v_l, with D in extended
-        # precision and v_j = sqrt(rho_jj + |floor|)
+        # D^ gathered from the table is symmetric with a unit diagonal;
+        # rho o (D^ - D) lies under the rank-one majorant f v v^T entrywise,
+        # and a finite epsilon covers its norm, with D in extended precision
+        # and v_j = sqrt(rho_jj + |floor|)
         proven = 0
         for trial in range(60):
             n = int(rng.integers(1, 8))
@@ -656,10 +663,28 @@ class TestPositivityCertificate:
             exponents = _mirrored((counts * cov.mu.astype(np.longdouble)[:, None]).sum(0))
             err = (d - np.longdouble(cov.g) ** exponents[index]).astype(float)
             v = np.sqrt(np.diag(rho.matrix).real + 1e-10)
-            assert float((v * (np.abs(err) @ v)).max()) <= bound
+            assert np.all(np.abs(rho.matrix * err) <= _decay_error_bound(cov) * np.outer(v, v))
             assert np.linalg.norm(rho.matrix * err, 2) <= bound
         # both a finite and an infinite epsilon were exercised
         assert 0 < proven < 60
+
+    @pytest.mark.parametrize(
+        "g, n", [(1.0, 1), (0.3, 2), (0.3, 10), (1e-6, 10), (1e-50, 8), (1e-300, 39)]
+    )
+    def test_decay_error_bound_is_its_formula(self, g, n):
+        # f = (2 x + 3u) e^x (1 + eps) + 5 tau, x = -ln(g) gamma_N N^2
+        cov = PhaseCovariance.from_damping(g, [1.0] + [0.0] * (n - 1))
+        u = 2.0**-53
+        x = -math.log(cov.g) * n * u / (1 - n * u) * n * n
+        f = (2 * x + 3 * u) * math.exp(x) * (1 + 2 * u) + 5 * 2.0**-1022
+        assert _decay_error_bound(cov) == pytest.approx(f, rel=1e-14, abs=0)
+
+    def test_decay_error_bound_is_infinite_past_its_preconditions(self):
+        # g underflows to 0 at eta^2 = 400; x = -ln(g) gamma_N N^2 passes
+        # 1/2 at g = 1e-300 and 2 * 10^4 uses, read from n_uses and g alone
+        assert _decay_error_bound(PhaseCovariance(eta_sq=400.0, mu=[1.0])) == math.inf
+        wide = types.SimpleNamespace(n_uses=20_000, g=1e-300)
+        assert _decay_error_bound(wide) == math.inf
 
     @pytest.mark.parametrize(
         "mu, outputs", [(0.6 ** np.arange(10), 1.5), (np.ones(10), 3.5)], ids=["proven", "factored"]

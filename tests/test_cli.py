@@ -212,6 +212,17 @@ class TestDecayCommand:
             "config error: decay factor of 01:10: decay-factor forms disagree"
         )
 
+    def test_weak_coupling_over_many_uses_prints(self, tmp_path, capsys):
+        # g**E carries the rounding of g some 2 * 10^4 times here and lands
+        # 1.0e-12 from exp(-2 eta^2 E), the factor printed
+        text = "coupling = 1e-3\ngamma = 1e-3\nn_uses = 150\n"
+        code = main(["decay", "--config", write_config(tmp_path, text)])
+        assert code == 0
+        rows = data_rows(capsys.readouterr().out)
+        assert rows[rows.index("j,l,exponent,decay") + 1 :] == [
+            f"{'0' * 150},{'1' * 150},2.142309209591e+04,9.893491498703e-01"
+        ]
+
     def test_white_beyond_window_is_exactly_uncorrelated(self):
         text = cmd_decay(RunConfig(spectrum="white", tau=1.5))
         assert "# mu_feasible=yes" in text.splitlines()
@@ -470,7 +481,8 @@ def reference_decay(config):
     for j, l in pairs:
         s = np.array([int(b) for b in l], dtype=float) - np.array([int(b) for b in j])
         exponent = float(s @ toeplitz @ s)
-        rows.append(f"{j},{l},{exponent:.12e},{g**exponent:.12e}")
+        decay = math.exp(-2.0 * (eta_sq * exponent))
+        rows.append(f"{j},{l},{exponent:.12e},{decay:.12e}")
     eps = 0.5 * (1.0 - g)
     return f"# eta_sq={eta_sq:.12e} g={g:.12e} epsilon={eps:.12e}", rows
 
