@@ -55,13 +55,46 @@ nowhere else.  The checks run in this order:
    blocks at and right of the diagonal give the same maximum as the whole
    matrix.  Up to b rows this is one pass over the whole matrix;
 3. the trace, to TRACE_ATOL;
-4. positivity.  A channel output whose positivity the covariance proves
-   (below) is not factored.  Every other matrix is, by a Cholesky
-   factorization of m - EIGENVALUE_FLOOR * I, which exists exactly when
-   every eigenvalue lies above the floor.  The shift is applied in place to
-   the diagonal of one copy of m.  The eigenvalues themselves are computed
-   only when the factorization fails.  Both read the lower triangle, so the
-   matrix judged is the Hermitian completion of that triangle.
+4. positivity, by a Cholesky factorization of m - EIGENVALUE_FLOOR * I,
+   which exists exactly when every eigenvalue lies above the floor.  The
+   shift is applied in place to the diagonal of one copy of m.  The
+   eigenvalues themselves are computed only when the factorization fails.
+   Both read the lower triangle, so the matrix judged is the Hermitian
+   completion of that triangle.
+
+A state keeps the defect max |m - m^H| it was validated with.  One built
+with ``validate=False`` is audited on its first channel use instead, once:
+steps 1-3 run and the defect is kept too (an audit that fails one of them
+keeps an infinite defect and raises nothing).  For a channel output, steps
+1-3 are proven from the table and the input's defect (below) when the
+table is finite with D^(0) = 1 and every entry at most 1 + f, the input is
+validated or passes its audit, and the bound on the output's defect lies
+within HERMITICITY_ATOL; the bound is then kept as the output's defect, so
+a chained channel reads it back.  Otherwise the output runs steps 1-3 in
+full.  Step 4 is proven from the covariance (below) or run.
+
+Steps 1-3 of the channel output from the table.  D^ is mirrored, so D^_jl =
+D^_lj bit for bit, and D^(0) = 1 on the diagonal.  A complex times a real
+rounds each part once (the product with the zero imaginary part is exact),
+so out_jj equals rho_jj (as a value: the sign of a zero part may flip) and
+the trace is rho's.  With D^ <= top <= 1 + f and rho finite, every product
+is finite: |rho_jl| <= v_j v_l <= S (v and S as below; a ``validate=False``
+caller vouches for rho's positivity here as for step 4).  And out_jl -
+conj(out_lj) = D^_jl (rho_jl - conj(rho_lj)) + r, where the two roundings
+give |r| <= u top (|rho_jl| + |rho_lj|) <= u top (S + d), with u = eps / 2
+the unit roundoff and d the input's defect, the lower-triangle entry being
+at most S / 2 and the other within d of it.  So the output's defect is at
+most top d + eps top S / 2 + u top d.  The defects are measured in floats:
+a computed defect lies within (1 + u)(1 + 2u) of the true one (the
+subtraction rounds once, the modulus within one ulp), so the measured input
+defect d^ gives d <= (1 + 2 eps) d^, and the bound kept,
+
+    (1 + 8 eps) top ((1 + 4 eps) d^ + eps S) + tau,
+
+covers the measured output defect with room for its own rounding; tau =
+2^-1022 covers products that underflow, whose rounding is absolute.  The
+term eps top S, about 2.2e-16 at S ~ 1, is why an input validated within
+that of HERMITICITY_ATOL has its output measured.
 
 Positivity of the channel output from the covariance.  With c = -ln g >= 0
 and T positive semidefinite,
@@ -279,17 +312,35 @@ class CoherenceLabel:
         return self.j == self.l
 
 
-@dataclass(frozen=True)
-class _Handover:
-    """A fresh complex array that ``apply_channel`` gives to a DensityMatrix.
+def _checked_defect(m: np.ndarray) -> float:
+    """The Hermiticity defect of m, once m is checked finite, Hermitian and of unit trace.
 
-    The array is kept without a copy, since nothing else holds it, and
-    ``positive`` says whether its positivity is already proven.  It travels
-    as the matrix argument, so the constructor keeps its public signature.
+    Raises ValueError at the first check that fails, in that order.
     """
+    # NaN compares false against every tolerance below, and what LAPACK
+    # does with it is no check
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix has non-finite entries")
+    defect = _hermiticity_defect(m)
+    if defect > HERMITICITY_ATOL:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(m.trace() - 1.0) > TRACE_ATOL:
+        raise ValueError(f"density matrix trace {m.trace():.15f} != 1")
+    return defect
 
-    array: np.ndarray
-    positive: bool
+
+def _check_positive(m: np.ndarray) -> None:
+    """NotPositiveSemidefinite unless every eigenvalue of m lies above EIGENVALUE_FLOOR."""
+    shifted = m.copy()
+    shifted.flat[:: m.shape[0] + 1] -= EIGENVALUE_FLOOR
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        # the factorization can also break down on rounding right at the
+        # floor; the eigenvalues decide then
+        w = np.linalg.eigvalsh(m)
+        if w[0] < EIGENVALUE_FLOOR:
+            raise NotPositiveSemidefinite(f"density matrix has eigenvalue {w[0]:.3e}") from None
 
 
 class DensityMatrix:
@@ -299,45 +350,66 @@ class DensityMatrix:
     With ``validate=False`` the caller vouches that the matrix is a density
     matrix (finite, Hermitian, of unit trace and positive semidefinite): it
     is stored unchecked, and ``apply_channel``'s positivity proof relies on
-    it.
+    it.  Such a state is audited once, on its first channel use: its
+    finiteness, Hermiticity and trace are checked, which measures its
+    Hermiticity defect, and the result is kept for every later use.
     """
 
-    __slots__ = ("matrix",)
+    # _defect: max |m - m^H| as measured or proven, which also vouches that
+    # m is finite, Hermitian and of unit trace; inf where the audit of a
+    # validate=False state found one of those untrue, None until that audit
+    __slots__ = ("matrix", "_defect")
 
     def __init__(self, matrix, *, validate: bool = True):
-        if isinstance(matrix, _Handover):
-            m, positive = matrix.array, matrix.positive
-        else:
-            m, positive = np.array(matrix, dtype=complex), False
+        m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
         dim = m.shape[0]
         if dim == 0 or dim & (dim - 1):
             raise DimensionMismatch(f"dimension {dim} is not a power of two")
+        defect = None
         if validate:
-            # NaN compares false against every tolerance below, and what
-            # LAPACK does with it is no check
-            if not np.isfinite(m).all():
-                raise ValueError("density matrix has non-finite entries")
-            if _hermiticity_defect(m) > HERMITICITY_ATOL:
-                raise ValueError("density matrix is not Hermitian")
-            if abs(m.trace() - 1.0) > TRACE_ATOL:
-                raise ValueError(f"density matrix trace {m.trace():.15f} != 1")
-            if not positive:
-                shifted = m.copy()
-                shifted.flat[:: dim + 1] -= EIGENVALUE_FLOOR
-                try:
-                    np.linalg.cholesky(shifted)
-                except np.linalg.LinAlgError:
-                    # the factorization can also break down on rounding right
-                    # at the floor; the eigenvalues decide then
-                    w = np.linalg.eigvalsh(m)
-                    if w[0] < EIGENVALUE_FLOOR:
-                        raise NotPositiveSemidefinite(
-                            f"density matrix has eigenvalue {w[0]:.3e}"
-                        ) from None
+            defect = _checked_defect(m)
+            _check_positive(m)
+        self._keep(m, defect)
+
+    @classmethod
+    def _of_channel(cls, m: np.ndarray, defect: float | None, positive: bool) -> "DensityMatrix":
+        """The channel output m, kept without a copy, since nothing else holds it.
+
+        ``defect`` is a proven bound on its Hermiticity defect, which also
+        proves it finite and of unit trace; where it is None those three are
+        checked.  ``positive`` says whether its positivity is proven; where
+        it is not, m is factored.
+        """
+        if defect is None:
+            defect = _checked_defect(m)
+        if not positive:
+            _check_positive(m)
+        rho = object.__new__(cls)
+        rho._keep(m, defect)
+        return rho
+
+    def _keep(self, m: np.ndarray, defect: float | None) -> None:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_defect", defect)
+
+    def _known_defect(self) -> float:
+        """max |m - m^H| as validated, proven or audited; inf where the audit fails.
+
+        A ``validate=False`` state is audited on the first call: the checks
+        of finiteness, Hermiticity and trace run, and a state that fails one
+        is given an infinite defect instead of an error.  The matrix cannot
+        change, so the result is kept.
+        """
+        if self._defect is None:
+            try:
+                defect = _checked_defect(self.matrix)
+            except ValueError:
+                defect = math.inf
+            object.__setattr__(self, "_defect", defect)
+        return self._defect
 
     def __setattr__(self, name, value):
         raise AttributeError(f"DensityMatrix is immutable; cannot set {name!r}")
@@ -359,7 +431,8 @@ class DensityMatrix:
 
         The vector is checked (one-dimensional, finite, nonzero norm); the
         outer product of such a vector is Hermitian, positive and of unit
-        trace by construction, so it is not re-validated.
+        trace by construction, so it is not validated; like every
+        ``validate=False`` state it is audited on its first channel use.
         """
         v = np.asarray(psi, dtype=complex)
         if v.ndim != 1:
@@ -478,21 +551,38 @@ def _decay_error_bound(cov: PhaseCovariance) -> float:
     return (2.0 * x_max + 1.5 * _EPS) * math.exp(x_max) * (1.0 + _EPS) + 5.0 * _TINY
 
 
-def _decayed(rho: DensityMatrix, cov: PhaseCovariance, which) -> tuple[np.ndarray, float]:
-    """(rho o D^, epsilon) for the checked positions ``which``, in use order.
+def _decayed(
+    rho: DensityMatrix, cov: PhaseCovariance, which
+) -> tuple[np.ndarray, float, float | None]:
+    """(rho o D^, epsilon, defect) for the checked positions ``which``, in use order.
 
     epsilon = (f + 2 eps) S, f from ``_decay_error_bound``, bounds how far
     rounding lowers the output's smallest eigenvalue (module docstring).
     It is infinite where the proof does not apply: T not positive definite
     beyond the backward error N^2 eps of ``eigvalsh``, or x_max > 1/2.
+
+    defect bounds the output's Hermiticity defect, and its being a number
+    proves the output finite and of rho's trace (module docstring).  It is
+    None where that proof does not apply: a table entry that is not finite
+    or lies above 1 + f, an input whose audit fails, or a bound above
+    HERMITICITY_ATOL.
     """
     n, dim = cov.n_uses, rho.dim
     exponents = _exponents(cov)
-    decay = _mirrored(np.power(cov.g, exponents, out=exponents))
+    half = np.power(cov.g, exponents, out=exponents)
+    decay = _mirrored(half)
+    f = _decay_error_bound(cov)
     v_sq_sum = 1.0 + TRACE_ATOL - dim * EIGENVALUE_FLOOR
-    epsilon = (_decay_error_bound(cov) + 2.0 * _EPS) * v_sq_sum
+    epsilon = (f + 2.0 * _EPS) * v_sq_sum
     if not cov.min_eigenvalue > n * n * _EPS:
         epsilon = math.inf
+    defect = None
+    top = float(half.max())  # NaN where any entry is
+    if math.isfinite(top) and top <= 1.0 + f and half[-1] == 1.0:
+        d = (1.0 + 4.0 * _EPS) * rho._known_defect() + _EPS * v_sq_sum
+        bound = (1.0 + 8.0 * _EPS) * top * d + _TINY
+        if bound <= HERMITICITY_ATOL:
+            defect = bound
 
     # coherence (j, l) has weight index u_l - u_j + (3^N - 1) / 2
     u = _basis_bits(np.arange(dim), rho.n_qubits, which).dot(_POWERS_OF_3[:n])
@@ -500,12 +590,12 @@ def _decayed(rho: DensityMatrix, cov: PhaseCovariance, which) -> tuple[np.ndarra
     rows = max(1, GATHER_ENTRIES // dim)
     if rows >= dim:
         # one block: the product itself is the output, with no slicing
-        return rho.matrix * decay[shifted - u[:, None]], epsilon
+        return rho.matrix * decay[shifted - u[:, None]], epsilon, defect
     out = np.empty_like(rho.matrix)
     for r in range(0, dim, rows):
         index = shifted - u[r : r + rows, None]
         np.multiply(rho.matrix[r : r + rows], decay[index], out=out[r : r + rows])
-    return out, epsilon
+    return out, epsilon, defect
 
 
 def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMatrix:
@@ -519,16 +609,20 @@ def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMat
 
     In exact arithmetic the decay matrix is a Gram matrix when T is PSD, so
     by the Schur product theorem the output is positive whenever rho is.
-    The output is checked for finiteness, Hermiticity and trace.  Its
-    positivity is taken as proven when ``cov.min_eigenvalue`` exceeds the
-    backward-error margin N^2 eps of ``eigvalsh`` and a bound on how far
-    the rounding of D can move the output's eigenvalues (one rank-one
-    bound, from one bound on the rounding of every D^(s), see the module
-    docstring) lies below |EIGENVALUE_FLOOR| / 2.  Otherwise (a covariance
-    accepted within PSD_TOLERANCE, a singular T, a g so small that the
-    bound fails: at ten uses, g below about 1e-98) the output is factored
-    like any other.  The proof assumes rho is a density matrix: for a
-    state built with ``validate=False`` the caller vouches for that.
+    Its finiteness, Hermiticity and trace are proven from the table and
+    rho's Hermiticity defect (kept from rho's validation, or measured once
+    by the audit of a ``validate=False`` rho) when the table is finite,
+    every entry lies within 1 + f and the bound on the output's defect
+    lies within HERMITICITY_ATOL; otherwise they are checked entry by
+    entry.  Its positivity is taken as proven when ``cov.min_eigenvalue``
+    exceeds the backward-error margin N^2 eps of ``eigvalsh`` and a bound
+    on how far the rounding of D can move the output's eigenvalues (one
+    rank-one bound, from one bound on the rounding of every D^(s), see the
+    module docstring) lies below |EIGENVALUE_FLOOR| / 2.  Otherwise (a
+    covariance accepted within PSD_TOLERANCE, a singular T, a g so small
+    that the bound fails: at ten uses, g below about 1e-98) the output is
+    factored like any other.  The proofs assume rho is a density matrix:
+    for a state built with ``validate=False`` the caller vouches for that.
     """
     which = tuple(which)
     if len(which) != cov.n_uses:
@@ -539,5 +633,5 @@ def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMat
     # an infinite or NaN entry is reported by the output validation, not
     # as a numpy warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out, epsilon = _decayed(rho, cov, which)
-    return DensityMatrix(_Handover(out, epsilon < 0.5 * abs(EIGENVALUE_FLOOR)))
+        out, epsilon, defect = _decayed(rho, cov, which)
+    return DensityMatrix._of_channel(out, defect, epsilon < 0.5 * abs(EIGENVALUE_FLOOR))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_feasible_covariance
 from memphase.channel import (
+    HERMITICITY_ATOL,
     HERMITICITY_BLOCK,
     CoherenceLabel,
     DensityMatrix,
@@ -33,6 +34,7 @@ from memphase.channel import (
     decay_factor,
 )
 import memphase
+from memphase import channel
 from memphase.correlation import ChannelParams, PhaseCovariance
 from memphase.errors import (
     DimensionMismatch,
@@ -446,7 +448,9 @@ class TestApplyChannelProperties:
     def test_invariants_and_coherence_ratios(self, case):
         rho, cov, which = case
         n = rho.n_qubits
-        m = apply_channel(rho, cov, which).matrix
+        out = apply_channel(rho, cov, which)
+        assert_accepted_soundly(out, rho, cov, which)
+        m = out.matrix
         assert abs(m.trace() - 1.0) <= 1e-12
         assert np.abs(m - m.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(m)[0] >= -1e-10
@@ -466,7 +470,9 @@ class TestApplyChannelProperties:
         rho, cov, which = case
         n = rho.n_qubits
         memoryless = PhaseCovariance.from_damping(cov.g, [1.0] + [0.0] * (len(which) - 1))
-        m = apply_channel(rho, memoryless, which).matrix
+        out = apply_channel(rho, memoryless, which)
+        assert_accepted_soundly(out, rho, memoryless, which)
+        m = out.matrix
         # mu = (1, 0, ...): D_jl = g ** sum_k |s_k|
         flips = np.array(
             [
@@ -496,6 +502,18 @@ def reference_output(rho, cov, which):
         exponents += 2 * sum(s[k] * s[k + m] for k in range(len(s) - m)) * cov.mu[m]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return rho.matrix * np.power(cov.g, exponents, out=exponents)
+
+
+def assert_accepted_soundly(out, rho, cov, which):
+    """Check an output the channel accepted against the full validation.
+
+    It passes ``DensityMatrix(out.matrix)`` as a matrix from outside would,
+    the Hermiticity defect it keeps (proven or measured) bounds the measured
+    one, and its bytes are ``reference_output``'s.
+    """
+    DensityMatrix(out.matrix)
+    assert out._defect >= _hermiticity_defect(out.matrix)
+    assert out.matrix.tobytes() == reference_output(rho, cov, which).tobytes()
 
 
 def full_check_verdict(m):
@@ -554,8 +572,7 @@ class TestPositivityCertificate:
         expected = reference_output(rho, cov, which)
         verdict = full_check_verdict(expected)
         if verdict is None:
-            out = apply_channel(rho, cov, which).matrix
-            assert np.array_equal(out, expected)
+            assert_accepted_soundly(apply_channel(rho, cov, which), rho, cov, which)
         else:
             with pytest.raises(ValueError) as raised:
                 apply_channel(rho, cov, which)
@@ -650,7 +667,7 @@ class TestPositivityCertificate:
                 rho = random_density_matrix(rng, n)
             else:
                 rho = DensityMatrix.from_state_vector(random_state_vector(trial, 1 << n))
-            out, bound = _decayed(rho, cov, which)
+            out, bound, _ = _decayed(rho, cov, which)
             u = _basis_bits(np.arange(1 << n), n, which) @ 3 ** np.arange(k)
             index = u[None, :] - u[:, None] + (3**k - 1) // 2
             d = _mirrored(np.power(cov.g, _exponents(cov)))[index]
@@ -703,6 +720,146 @@ class TestPositivityCertificate:
         finally:
             tracemalloc.stop()
         assert peak < outputs * rho.matrix.nbytes
+
+
+class TestTableProof:
+    """The output's finiteness, Hermiticity and trace: proven from the table, or checked in full."""
+
+    @staticmethod
+    def count_measurements(monkeypatch):
+        calls = []
+        original = channel._hermiticity_defect
+
+        def counting(m):
+            calls.append(m.shape[0])
+            return original(m)
+
+        monkeypatch.setattr(channel, "_hermiticity_defect", counting)
+        return calls
+
+    def test_a_proven_ten_qubit_output_is_not_measured(self, monkeypatch):
+        v = random_state_vector(13, 1024)
+        rho = DensityMatrix(np.outer(v, v.conj()) / (v.conj() @ v).real)
+        cov = PhaseCovariance.from_damping(0.3, 0.6 ** np.arange(10))
+        calls = self.count_measurements(monkeypatch)
+        out = apply_channel(rho, cov, range(10))
+        assert calls == []
+        assert out._defect <= HERMITICITY_ATOL
+        assert out.matrix.tobytes() == reference_output(rho, cov, range(10)).tobytes()
+
+    @pytest.mark.parametrize(
+        "index, exponent",
+        [(0, -1e-3), (-1, 1e-3)],
+        ids=["an-entry-above-1+f", "a-diagonal-entry-below-1"],
+    )
+    def test_a_broken_table_sends_the_output_to_the_full_checks(self, monkeypatch, index, exponent):
+        # D^ = 0.3 ** -1e-3 ~ 1.0012 at s = (-1, -1, -1); D^(0) = 0.3 ** 1e-3
+        # ~ 0.9988 scales the diagonal, which the trace check then refuses
+        rho = random_density_matrix(np.random.default_rng(3), 3)
+        cov = PhaseCovariance.from_damping(0.3, [1.0, 0.4, 0.1])
+        original = channel._exponents
+
+        def broken(cov):
+            exponents = original(cov)
+            exponents[index] = exponent
+            return exponents
+
+        calls = self.count_measurements(monkeypatch)
+        apply_channel(rho, cov, (0, 1, 2))
+        assert calls == []
+        monkeypatch.setattr(channel, "_exponents", broken)
+        if index == 0:
+            out = apply_channel(rho, cov, (0, 1, 2))
+            assert out._defect == _hermiticity_defect(out.matrix)
+            assert out.matrix[0b111, 0b000] == rho.matrix[0b111, 0b000] * 0.3**-1e-3
+        else:
+            with pytest.raises(ValueError, match="^density matrix trace"):
+                apply_channel(rho, cov, (0, 1, 2))
+        assert calls == [8]
+
+    @pytest.mark.parametrize(
+        "defect, measurements", [(HERMITICITY_ATOL - 5e-17, 1), (HERMITICITY_ATOL - 1e-15, 0)],
+        ids=["within-1e-16-of-the-tolerance", "1e-15-below-it"],
+    )
+    def test_an_input_defect_near_the_tolerance_is_measured_on_the_output(
+        self, monkeypatch, defect, measurements
+    ):
+        # the bound adds about eps S to the input's defect, so an input this
+        # near the tolerance leaves the output's defect to be measured
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = defect
+        rho = DensityMatrix(m)
+        assert rho._defect == defect
+        cov = PhaseCovariance.from_damping(0.3, [1.0])
+        calls = self.count_measurements(monkeypatch)
+        out = apply_channel(rho, cov, (1,))
+        assert calls == [4] * measurements
+        assert _hermiticity_defect(out.matrix) <= out._defect <= HERMITICITY_ATOL
+        assert out.matrix.tobytes() == reference_output(rho, cov, (1,)).tobytes()
+
+    @pytest.mark.parametrize(
+        "entry, value, which, message",
+        [
+            ((0, 1), np.nan, (1,), "density matrix has non-finite entries"),
+            (None, None, (1,), "density matrix trace 1.000000001000000+0.000000000000000j != 1"),
+            ((0, 1), 2e-12, (0,), "density matrix is not Hermitian"),
+            ((0, 1), 2e-12, (1,), None),
+        ],
+        ids=["nan", "trace-1+1e-9", "defect-2e-12-on-a-spectator", "defect-2e-12-damped-to-6e-13"],
+    )
+    def test_unvalidated_inputs_end_as_the_full_output_checks_decide(
+        self, entry, value, which, message
+    ):
+        # public calls only: each ends as it did when every output was
+        # checked in full.  (00, 01) differs at position 1 alone, so it is a
+        # spectator coherence when position 0 is sent and is damped by g =
+        # 0.3 when position 1 is
+        m = np.eye(4, dtype=complex) / 4
+        if entry is None:
+            m *= 1.0 + 1e-9
+        else:
+            m[entry] = value
+        rho = DensityMatrix(m, validate=False)
+        cov = PhaseCovariance.from_damping(0.3, [1.0])
+        if message is None:
+            out = apply_channel(rho, cov, which).matrix
+            assert out[0, 1] == 0.3 * 2e-12 and out[1, 0] == 0.0
+        else:
+            with pytest.raises(ValueError) as raised:
+                apply_channel(rho, cov, which)
+            assert type(raised.value) is ValueError and str(raised.value) == message
+
+    def test_repeated_calls_audit_an_unvalidated_state_once(self, monkeypatch):
+        rho = DensityMatrix.from_state_vector(random_state_vector(14, 32))
+        calls = self.count_measurements(monkeypatch)
+        for g in (0.3, 0.6, 0.9):
+            cov = PhaseCovariance.from_damping(g, [1.0, 0.5, 0.2])
+            out = apply_channel(rho, cov, (4, 0, 2))
+            assert out._defect <= HERMITICITY_ATOL
+        assert calls == [32]
+        assert rho._defect == _hermiticity_defect(rho.matrix)
+
+    def test_the_circuit_fidelity_audits_the_encoded_source_once_per_process(self):
+        script = textwrap.dedent(
+            """
+            from memphase import channel, codes
+            from memphase.correlation import PhaseCovariance
+
+            calls = []
+            original = channel._hermiticity_defect
+            channel._hermiticity_defect = lambda m: calls.append(m.shape) or original(m)
+            for g in (0.3, 0.6, 0.9):
+                codes.fe_tqc_via_circuit(PhaseCovariance.from_damping(g, [1.0, 0.4, 0.2]))
+            print(calls)
+            """
+        )
+        package_root = os.path.dirname(os.path.dirname(memphase.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout.strip() == "[(16, 16)]"
 
 
 class TestDensityMatrix:

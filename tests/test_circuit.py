@@ -375,16 +375,24 @@ class TestValidationRule:
             _encoded_source.cache_clear()
         else:
             _encoded_source()
-        original = DensityMatrix.__init__
-        validated = []
+        original_init, original_output = DensityMatrix.__init__, DensityMatrix._of_channel.__func__
+        made = []
 
         def counting_init(obj, matrix, *, validate=True):
-            validated.append(validate)
-            original(obj, matrix, validate=validate)
+            made.append("validated" if validate else "vouched for")
+            original_init(obj, matrix, validate=validate)
+
+        def counting_output(cls, m, defect, positive):
+            made.append("channel output")
+            return original_output(cls, m, defect, positive)
 
         monkeypatch.setattr(DensityMatrix, "__init__", counting_init)
+        monkeypatch.setattr(DensityMatrix, "_of_channel", classmethod(counting_output))
         fe_tqc_via_circuit(PhaseCovariance.from_damping(0.9, [1.0, 0.4, 0.2]))
-        assert validated.count(True) == 1
+        # the channel output is checked, or proven from its table, on its
+        # own path; no state is validated from outside
+        assert made.count("channel output") == 1
+        assert made.count("validated") == 0
 
     def test_every_derived_state_passes_full_validation(self, rng):
         # 40 interior points, then mu2 at both band edges with g up to 1 - 1e-12
