@@ -37,9 +37,17 @@ idx(s), the other half of the table mirrors the first: ``np.power`` gives
 D^(s) = g ** E^(s) once per pair {s, -s}, so D^(s) = D^(-s) bit for bit,
 and D^(0) = 1 exactly.  With u_j = sum_k 3^k b_jk, b_jk the bit of basis
 state j at the qubit of use k, coherence (j, l) has weight index
-u_l - u_j + (3^N - 1) / 2.  The output rho o D^ is filled in row blocks of
-about GATHER_ENTRIES entries, each gathering D^ at those indices, into one
-output array: no (dim, dim) float array is formed.
+u_l - u_j + (3^N - 1) / 2.  The offsets u and u + (3^N - 1) / 2 depend on
+the register size and the transmitted positions alone, so they are built
+once per (n_qubits, which) and kept read-only in a cache of at most 256
+entries (``_weight_offsets``).  The output rho o D^ is filled in row blocks
+of about GATHER_ENTRIES entries, each gathering D^ at those indices, into
+one output array: no (dim, dim) float array is formed.
+
+``apply_channel`` refuses, with DomainError, a g below the normal floats
+(``sys.float_info.min``): a subnormal g carries up to ~2 % relative error
+into every g**E, and g = 0 sends every coherence to 0 however small E is,
+while the true factor exp(-2 eta^2 E) may be close to 1.
 
 Validated density matrices must be finite, Hermitian, of unit trace and
 positive semidefinite down to EIGENVALUE_FLOOR.  A state is validated where
@@ -156,8 +164,8 @@ their lower triangles):
   EIGENVALUE_FLOOR / 2, which the factorization accepts too; an input
   validated nearer the floor than that keeps its own margin less epsilon.
   A covariance accepted only within PSD_TOLERANCE, a singular T (mu1 = mu2
-  = 1, the lower mu2 band edge), a g that underflows to 0, and a bound too
-  loose to pass leave the output to the factorization.
+  = 1, the lower mu2 band edge) and a bound too loose to pass leave the
+  output to the factorization.
 
 Register convention: qubit position 0 is the most significant bit of the
 basis index (leftmost factor of the tensor product), a position is an
@@ -174,6 +182,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -411,6 +420,13 @@ class DensityMatrix:
             object.__setattr__(self, "_defect", defect)
         return self._defect
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the state unchecked from its
+        # matrix, which the constructor copies and keeps read-only; the
+        # defect is not carried over, so the copy is audited on its first
+        # channel use like any validate=False state
+        return functools.partial(type(self), validate=False), (self.matrix,)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"DensityMatrix is immutable; cannot set {name!r}")
 
@@ -551,10 +567,31 @@ def _decay_error_bound(cov: PhaseCovariance) -> float:
     return (2.0 * x_max + 1.5 * _EPS) * math.exp(x_max) * (1.0 + _EPS) + 5.0 * _TINY
 
 
+@functools.lru_cache(maxsize=256)
+def _weight_offsets(n_qubits: int, which: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Weight offsets (u, u + (3^N - 1) / 2) of every basis state, for the positions ``which``.
+
+    u_j = sum_k 3^k b_jk, with b_jk the bit of basis state j at position
+    ``which[k]``, so coherence (j, l) has weight index u_l - u_j + (3^N -
+    1) / 2.  Both arrays depend on the register size and the checked
+    positions alone: they are built once per (n_qubits, which), for at most
+    256 such pairs, and kept read-only.
+    """
+    n = len(which)
+    u = _basis_bits(np.arange(1 << n_qubits), n_qubits, which).dot(_POWERS_OF_3[:n])
+    shifted = u + (3**n - 1) // 2
+    u.flags.writeable = shifted.flags.writeable = False
+    return u, shifted
+
+
 def _decayed(
     rho: DensityMatrix, cov: PhaseCovariance, which
 ) -> tuple[np.ndarray, float, float | None]:
     """(rho o D^, epsilon, defect) for the checked positions ``which``, in use order.
+
+    D^ is gathered at the weight indices u_l - u_j + (3^N - 1) / 2, with the
+    offsets read from the ``_weight_offsets`` cache: only the table and the
+    gather depend on the covariance.
 
     epsilon = (f + 2 eps) S, f from ``_decay_error_bound``, bounds how far
     rounding lowers the output's smallest eigenvalue (module docstring).
@@ -584,9 +621,7 @@ def _decayed(
         if bound <= HERMITICITY_ATOL:
             defect = bound
 
-    # coherence (j, l) has weight index u_l - u_j + (3^N - 1) / 2
-    u = _basis_bits(np.arange(dim), rho.n_qubits, which).dot(_POWERS_OF_3[:n])
-    shifted = u + (3**n - 1) // 2
+    u, shifted = _weight_offsets(rho.n_qubits, which)
     rows = max(1, GATHER_ENTRIES // dim)
     if rows >= dim:
         # one block: the product itself is the output, with no slicing
@@ -623,6 +658,9 @@ def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMat
     that the bound fails: at ten uses, g below about 1e-98) the output is
     factored like any other.  The proofs assume rho is a density matrix:
     for a state built with ``validate=False`` the caller vouches for that.
+
+    A damping g below the normal floats (``sys.float_info.min``), g = 0
+    included, raises DomainError: g**E cannot be formed faithfully from it.
     """
     which = tuple(which)
     if len(which) != cov.n_uses:
@@ -630,6 +668,13 @@ def apply_channel(rho: DensityMatrix, cov: PhaseCovariance, which) -> DensityMat
             f"{len(which)} transmitted qubits but covariance has {cov.n_uses} uses"
         )
     which = _check_positions(which, rho.n_qubits)
+    if not cov.g >= sys.float_info.min:
+        # a subnormal g carries up to ~2 % relative error into every g**E,
+        # and g = 0 sends every coherence to 0 however small E is
+        raise DomainError(
+            f"damping g = exp(-2 eta^2) = {cov.g!r} at eta^2 = {cov.eta_sq!r} lies below the "
+            "normal floats, so the decay factors g**E cannot be formed from it"
+        )
     # an infinite or NaN entry is reported by the output validation, not
     # as a numpy warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

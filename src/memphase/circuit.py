@@ -9,22 +9,30 @@ to the +/- basis with Hadamards, so that dephasing during transmission acts
 like bit flips on the codewords.  Decoding rotates back, uncopies, and
 applies a Toffoli that coherently corrects the single-flip syndromes.
 
-Gates run as one loop over raw matrices (``_run_gates``).  A Hadamard stays
-dense, m = u @ m @ u with u its ``gate_unitary``, which is real and
-symmetric and so its own adjoint.  A run of consecutive controlled gates
-(CNOT, Toffoli) is one basis permutation p, composed once per gate tuple
-(``_gate_plan``), and goes by index as one take, m[np.ix_(p, p)]: O(dim^2)
-where the dense products cost O(dim^3).  The take is exact: each entry of a
-product with a 0/1 permutation matrix adds one exact term, 1 * x, to zeros,
-so the take gives the same values, and it keeps the sign of a zero entry
-where a product may turn -0 into +0.  ``tqc_encode``, ``tqc_decode`` and
-``apply_gate`` (the one-gate case, which alone checks that R is untouched)
-run this one loop and wrap the result in a ``JointState`` only at the end.
+Gates run as one loop, ``_run_gates``, which takes and returns a raw
+16 x 16 matrix.  A Hadamard stays dense, m = u @ m @ u with u its
+``gate_unitary``, which is real and symmetric and so its own adjoint.  A
+run of consecutive controlled gates (CNOT, Toffoli) is one basis
+permutation p, composed once per gate tuple (``_gate_plan``), and goes by
+index as one take, m[np.ix_(p, p)]: O(dim^2) where the dense products cost
+O(dim^3).  The take is exact: each entry of a product with a 0/1
+permutation matrix adds one exact term, 1 * x, to zeros, so the take gives
+the same values, and it keeps the sign of a zero entry where a product may
+turn -0 into +0.  A ``JointState`` is made only at the API boundary:
+``tqc_encode``, ``tqc_decode`` and ``apply_gate`` (the one-gate case, which
+alone checks that R is untouched) wrap the loop's result, and
+``codes.fe_tqc_via_circuit`` decodes the raw channel output with no wrap.
 The encoded source, ``tqc_encode(prepare_bell_with_ancillas())``, is built
 here once and shared read-only (``_encoded_source``):
 ``codes.fe_tqc_via_circuit`` sends it through the channel and
 ``_code_weights`` reads its fidelity polynomial off it, so the package
 encodes in one place.
+
+The fidelity <psi|rho_RQ|psi> is read off the raw matrix by
+``_bell_overlap``, with psi one module-level read-only Bell pair: rho_RQ
+is the sum of the four (A, B) diagonal 4 x 4 blocks, added in the order of
+``partial_trace``'s two traces, so ``entanglement_fidelity`` and the
+pipeline give the bits of the ``partial_trace`` form.
 
 A state is validated where it enters from outside and where the channel
 makes it, nowhere else: a Hadamard, basis permutation or +-1 diagonal
@@ -176,23 +184,27 @@ def _gate_plan(gates: tuple[Gate, ...]) -> tuple[tuple[bool, np.ndarray], ...]:
     return tuple(plan)
 
 
-def _run_gates(state: JointState, gates: tuple[Gate, ...]) -> JointState:
-    """Conjugate the joint state by each gate in turn, as raw matrices, m = u @ m @ u^H.
+def _run_gates(m: np.ndarray, gates: tuple[Gate, ...]) -> np.ndarray:
+    """The 16 x 16 matrix m conjugated by each gate in turn, m = u @ m @ u^H.
 
     Runs the steps of ``_gate_plan(gates)``: a permutation run as one take,
     a Hadamard as u @ m @ u (u is real and symmetric, so u^H = u).
     """
-    m = state.rho.matrix
     for permutes, a in _gate_plan(gates):
         m = m.take(a) if permutes else a @ m @ a
-    return JointState(DensityMatrix(m, validate=False))
+    return m
+
+
+def _gated(state: JointState, gates: tuple[Gate, ...]) -> JointState:
+    """The joint state conjugated by the gates, wrapped unvalidated."""
+    return JointState(DensityMatrix(_run_gates(state.rho.matrix, gates), validate=False))
 
 
 def apply_gate(state: JointState, gate: Gate) -> JointState:
     """Conjugate the joint state by the gate unitary; R must stay untouched."""
     if JointState.R in (gate.target, *gate.controls):
         raise PositionOutOfRange("the reference qubit R is never acted on")
-    return _run_gates(state, (gate,))
+    return _gated(state, (gate,))
 
 
 def apply_pauli_z(state: JointState, position: int) -> JointState:
@@ -227,11 +239,11 @@ CODE_ORDER = (JointState.Q, JointState.A, JointState.B)
 
 
 def tqc_encode(state: JointState) -> JointState:
-    return _run_gates(state, ENCODE_GATES)
+    return _gated(state, ENCODE_GATES)
 
 
 def tqc_decode(state: JointState) -> JointState:
-    return _run_gates(state, DECODE_GATES)
+    return _gated(state, DECODE_GATES)
 
 
 @functools.cache
@@ -271,14 +283,28 @@ def bell_state_rq() -> np.ndarray:
     return psi
 
 
+_BELL_RQ = bell_state_rq()
+_BELL_RQ.flags.writeable = False
+
+
+def _bell_overlap(m: np.ndarray) -> float:
+    """<psi|rho_RQ|psi> of the 16 x 16 joint matrix m, psi the (R, Q) Bell pair.
+
+    rho_RQ sums the four (A, B) diagonal blocks in ``partial_trace``'s
+    order, A then B: (ab = 00 + 10) + (01 + 11).  Each of its two traces adds
+    two terms, so the sums, and the overlap, are the same bits.
+    """
+    m4 = m.reshape(4, 4, 4, 4)
+    rho_rq = (m4[:, 0, :, 0] + m4[:, 2, :, 2]) + (m4[:, 1, :, 1] + m4[:, 3, :, 3])
+    return float(np.real(_BELL_RQ.conj() @ rho_rq @ _BELL_RQ))
+
+
 def entanglement_fidelity(state: JointState) -> float:
     """<psi|rho_RQ|psi> after tracing out the ancillas.
 
     psi is the Bell pair on (R, Q) prepared by ``prepare_bell_with_ancillas``.
     """
-    psi = bell_state_rq()
-    rho_rq = partial_trace(state.rho.matrix, (JointState.R, JointState.Q), 4)
-    return float(np.real(psi.conj() @ rho_rq @ psi))
+    return _bell_overlap(state.rho.matrix)
 
 
 # For one phase realization the channel is the diagonal unitary

@@ -28,7 +28,9 @@ to ``fe_tqc_memory`` and ``correlation._mu2_lower`` by ``float.hex``.
 encode / channel / decode pipeline exactly (no sampling); agreement to
 machine precision is part of the acceptance suite.  The source is encoded
 once per process (``circuit._encoded_source``) and shared, so a call runs
-the channel and the decode gates, the latter as one loop over raw matrices.
+the public ``apply_channel``, the decode gates on the raw output matrix
+(``circuit._run_gates``) and the Bell overlap read off the decoded matrix
+(``circuit._bell_overlap``), with no ``JointState`` in between.
 A state is validated where it enters from outside and where the channel
 makes it, nowhere else, so each call validates one state: the channel
 output.  The Monte Carlo route checks the same pipeline through its weight
@@ -41,7 +43,7 @@ import math
 import warnings
 
 from .channel import apply_channel
-from .circuit import CODE_ORDER, JointState, _encoded_source, entanglement_fidelity, tqc_decode
+from .circuit import CODE_ORDER, DECODE_GATES, _bell_overlap, _encoded_source, _run_gates
 from .correlation import PhaseCovariance, _check_damping, check_mu_feasible
 from .errors import DomainError, FeasibilityWarning
 
@@ -235,4 +237,4 @@ def fe_tqc_via_circuit(cov: PhaseCovariance) -> float:
     traces out the ancillas and evaluates the overlap with the ideal pair.
     """
     rho = apply_channel(_encoded_source().rho, cov, CODE_ORDER)
-    return entanglement_fidelity(tqc_decode(JointState(rho)))
+    return _bell_overlap(_run_gates(rho.matrix, DECODE_GATES))

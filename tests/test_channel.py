@@ -1,7 +1,9 @@
 """Coherence labels, decay factors, and the dephasing map itself."""
 
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -35,7 +37,7 @@ from memphase.channel import (
 )
 import memphase
 from memphase import channel
-from memphase.correlation import ChannelParams, PhaseCovariance
+from memphase.correlation import ChannelParams, PhaseCovariance, covariance_from_spectrum
 from memphase.errors import (
     DimensionMismatch,
     DomainError,
@@ -43,6 +45,7 @@ from memphase.errors import (
     PositionOutOfRange,
 )
 from memphase.montecarlo import _sample_count
+from memphase.spectrum import Lorentzian
 
 # fixed example sequence, so the suite gives the same verdict on every run
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -326,14 +329,43 @@ class TestDecayFactor:
 
 class TestApplyChannel:
     # mu2 = -0.5 - delta gives min eig(T) ~ -2 delta / 3, inside PSD_TOLERANCE,
-    # so the covariance is accepted; only the output validation catches these
-    def test_output_validation_catches_non_finite_entries(self):
+    # so the covariance is accepted; only a check past it catches these two
+    def test_a_g_that_underflows_is_refused_before_a_non_finite_output(self):
+        # g = exp(-800) = 0.0 would raise some negative exponent to 0 ** E
+        # = inf; a normal g keeps every g**E finite, so no finite input
+        # reaches a non-finite output
         rho = DensityMatrix.from_state_vector(np.ones(8))
         cov = PhaseCovariance(eta_sq=400.0, mu=[1.0, 0.5, -0.5 - 1e-11])
+        assert np.min(_exponents(cov)) < 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(DomainError, match=r"g = exp\(-2 eta\^2\) = 0\.0 at eta\^2 = 400\.0"):
                 apply_channel(rho, cov, (0, 1, 2))
+
+    @pytest.mark.parametrize("coupling", [50.0, 38.5], ids=["g-zero", "g-subnormal"])
+    def test_a_g_below_the_normal_floats_is_refused(self, coupling):
+        # Lorentzian at gamma = 1e-9, tau = tau_p, 2 uses: the (01, 10)
+        # coherence has E = 2 - 2 mu1 ~ 1e-9 and a true factor near 1, which
+        # g**E sent to 0 at g = 0.0 (coupling 50) and misstated by 2.3e-11 at
+        # the subnormal g ~ 1.4e-322 (coupling 38.5), with no error raised
+        cov = covariance_from_spectrum(Lorentzian(1.0, 1e-9), ChannelParams(coupling, 1.0, 1.0, 2))
+        assert cov.g < sys.float_info.min
+        true_factor = {50.0: 0.9999983333348624, 38.5: 0.9999990118339047}[coupling]
+        assert math.exp(-2.0 * cov.eta_sq * (2.0 - 2.0 * cov.mu[1])) == true_factor
+        rho = DensityMatrix.from_state_vector([0.0, 1.0, 1.0, 0.0])
+        with pytest.raises(DomainError) as raised:
+            apply_channel(rho, cov, (0, 1))
+        assert str(raised.value).startswith(
+            f"damping g = exp(-2 eta^2) = {cov.g!r} at eta^2 = {cov.eta_sq!r} lies below"
+        )
+
+    def test_the_least_normal_g_is_applied(self):
+        # exp(-708) ~ 3.3e-308 is normal: the output is formed from g**E as before
+        cov = PhaseCovariance(eta_sq=354.0, mu=[1.0, 0.5])
+        assert sys.float_info.min <= cov.g < 1e-307
+        rho = DensityMatrix.from_state_vector([0.0, 1.0, 1.0, 0.0])
+        out = apply_channel(rho, cov, (0, 1))
+        assert out.matrix.tobytes() == reference_output(rho, cov, (0, 1)).tobytes()
 
     def test_output_validation_catches_a_negative_eigenvalue(self):
         rho = DensityMatrix.from_state_vector(np.ones(8))
@@ -569,6 +601,11 @@ class TestPositivityCertificate:
     @given(certificate_cases())
     def test_same_verdict_and_bits_as_factoring_every_output(self, case):
         rho, cov, which = case
+        if cov.g < sys.float_info.min:
+            # eta^2 above ~354: g**E is refused, not formed
+            with pytest.raises(DomainError, match="below the normal floats"):
+                apply_channel(rho, cov, which)
+            return
         expected = reference_output(rho, cov, which)
         verdict = full_check_verdict(expected)
         if verdict is None:
@@ -873,6 +910,27 @@ class TestDensityMatrix:
         with pytest.raises(AttributeError):
             del rho.matrix
         np.testing.assert_array_equal(rho.matrix, np.eye(4) / 4)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda rho: pickle.loads(pickle.dumps(rho)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_copies_keep_the_bytes_read_only_and_are_audited_afresh(self, rng, duplicate):
+        rho = random_density_matrix(rng, 2)
+        assert rho._defect is not None
+        twin = duplicate(rho)
+        assert type(twin) is DensityMatrix and twin.matrix is not rho.matrix
+        assert twin.matrix.tobytes() == rho.matrix.tobytes()
+        assert not twin.matrix.flags.writeable
+        with pytest.raises(AttributeError):
+            twin.matrix = rho.matrix
+        # the copy carries no defect over: its first channel use audits it
+        assert twin._defect is None
+        cov = PhaseCovariance.from_damping(0.3, [1.0])
+        out = apply_channel(twin, cov, (1,))
+        assert twin._defect == _hermiticity_defect(twin.matrix)
+        assert out.matrix.tobytes() == reference_output(rho, cov, (1,)).tobytes()
 
     @pytest.mark.parametrize("entry", [np.nan, complex(0.1, np.nan), np.inf])
     def test_rejects_non_finite(self, entry):

@@ -312,7 +312,7 @@ class TestPermutationRuns:
     def test_random_sequences_equal_per_gate_products(self, rng):
         for gates in random_gate_sequences(rng, 200):
             state = JointState(random_density_matrix(rng, 4))
-            got = _run_gates(state, gates).rho.matrix
+            got = _run_gates(state.rho.matrix, gates)
             want = conjugate_per_gate(state.rho.matrix, gates)
             assert got.tobytes() == want.tobytes(), gates
 
@@ -347,12 +347,12 @@ class TestPermutationRuns:
         state = JointState(DensityMatrix(m))
         assert np.signbit(state.rho.matrix.real).any() and np.signbit(state.rho.matrix.imag).any()
         for gates in [*random_gate_sequences(rng, 50), ENCODE_GATES, DECODE_GATES]:
-            got = _run_gates(state, gates).rho.matrix
+            got = _run_gates(state.rho.matrix, gates)
             assert np.array_equal(got, conjugate_per_gate(state.rho.matrix, gates)), gates
         permutation = (cnot(1, 2), toffoli(2, 3, 1), cnot(3, 1))
         (permutes, index), = _gate_plan(permutation)
         assert permutes
-        got = _run_gates(state, permutation).rho.matrix
+        got = _run_gates(state.rho.matrix, permutation)
         assert got.tobytes() == state.rho.matrix.take(index).tobytes()
 
     def test_decode_is_three_products_and_one_take(self):
